@@ -49,7 +49,7 @@
 //	rgquery -remote http://localhost:8080 -subscribe pattern.pq
 //
 // Local evaluation picks its distance backend with -backend: matrix
-// (precomputed, fastest, (m+1)·|V|²·4 bytes), twohop (2-hop labels —
+// (precomputed, fastest, (m+1)·|V|² bytes), twohop (2-hop labels —
 // index-fast lookups on graphs whose matrix does not fit), cache (LRU
 // over bidirectional search) or auto (matrix if it fits -membudget
 // bytes, else 2-hop under the same budget, else cache). -grail K

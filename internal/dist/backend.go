@@ -38,30 +38,24 @@ var (
 	_ Backend = (*TwoHop)(nil)
 )
 
-// DistScratch satisfies Backend for the precomputed matrix; the lookup
-// is O(1), so the arena is ignored.
-func (mx *Matrix) DistScratch(c graph.ColorID, v1, v2 graph.NodeID, _ *Scratch) int32 {
-	return mx.Dist(c, v1, v2)
-}
-
 // DistCtx is the matrix's ctx-aware face, for symmetry with
-// Cache.DistCtx: the lookup cannot be abandoned, so the error is ctx's
+// Cache.DistCtx: a cell load cannot be abandoned, so the error is ctx's
 // error only when it was already cancelled on entry.
-func (mx *Matrix) DistCtx(ctx context.Context, c graph.ColorID, v1, v2 graph.NodeID, _ *Scratch) (int32, error) {
+func (mx *Matrix) DistCtx(ctx context.Context, c graph.ColorID, v1, v2 graph.NodeID, s *Scratch) (int32, error) {
 	if ctx != nil && ctx.Err() != nil {
 		return graph.Unreachable, ctx.Err()
 	}
-	return mx.Dist(c, v1, v2), nil
+	return mx.DistScratch(c, v1, v2, s), nil
 }
 
 // MatrixBytes predicts the distance-matrix footprint for a graph with
-// the given node and color counts: (m+1)·|V|²·4 bytes. This is the
-// quantity the engine's automatic backend selection compares against
-// its memory budget — at large |V| it crosses any real budget long
-// before allocation would be attempted.
+// the given node and color counts: (m+1)·|V|² bytes, one per cell. This
+// is the quantity the engine's automatic backend selection compares
+// against its memory budget — at large |V| it crosses any real budget
+// long before allocation would be attempted.
 func MatrixBytes(nodes, colors int) int64 {
 	n := int64(nodes)
-	return int64(colors+1) * n * n * 4
+	return int64(colors+1) * n * n
 }
 
 // PredictMatrixBytes is MatrixBytes for a concrete graph.

@@ -46,10 +46,16 @@ func (a CAtom) Sat(d int32) bool {
 	return a.Max == rex.Unbounded || int(d) <= a.Max
 }
 
-// SatMatrix is Sat against the precomputed distance matrix: a single O(1)
-// lookup per pair.
+// SatMatrix is Sat against the precomputed distance matrix, decided by a
+// single O(1) cell load: a saturated cell still proves "reachable" and
+// "beyond any bound below 255". Only a bound of 255 or more over a
+// saturated cell needs the exact distance.
 func (a CAtom) SatMatrix(mx *Matrix, v1, v2 graph.NodeID) bool {
-	return a.Sat(mx.Dist(a.Color, v1, v2))
+	d := mx.cell(a.Color, v1, v2)
+	if d == satCell && a.Max != rex.Unbounded && a.Max >= satCell {
+		return a.Sat(mx.Dist(a.Color, v1, v2))
+	}
+	return a.Sat(cellDist(d))
 }
 
 // Compile resolves an expression's atoms against a graph's interned

@@ -411,7 +411,7 @@ func TestMatrixSize(t *testing.T) {
 	r := rand.New(rand.NewSource(3))
 	g := randGraph(r, 10, 20, []string{"a", "b"})
 	mx := NewMatrix(g)
-	want := int64(g.NumColors()+1) * 10 * 10 * 4
+	want := int64(g.NumColors()+1) * 10 * 10 // one byte per cell
 	if got := mx.Size(); got != want {
 		t.Errorf("Size = %d, want %d", got, want)
 	}

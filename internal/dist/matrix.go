@@ -8,21 +8,55 @@ import (
 )
 
 // Matrix is the per-color all-pairs distance index of Section 4: one
-// layer per edge color plus a wildcard layer, (m+1)·|V|² int32 entries.
-// Each layer is a flat row-major []int32, so Dist is a single
-// bounds-checked load — the paper's O(1) lookup made literal. Entry
-// (v1, v2) holds the length of the shortest non-empty path from v1 to v2
-// over the layer's edges, or graph.Unreachable.
+// layer per edge color plus a wildcard layer, (m+1)·|V|² one-byte
+// cells. Each layer is a flat row-major []uint8, so Dist is a single
+// bounds-checked load — the paper's O(1) lookup made literal. Cell
+// (v1, v2) encodes the length of the shortest non-empty path from v1 to
+// v2 over the layer's edges:
+//
+//   - 0 means unreachable: every non-empty path has length ≥ 1, so the
+//     value is free;
+//   - 1…254 are exact distances;
+//   - 255 (satCell) means "at least 255". Dist answers such a cell
+//     exactly with a BFS over the layer's adjacency, which the matrix
+//     keeps for that purpose.
+//
+// Subclass F only asks "is the distance ≤ k" for small constant k, or
+// plain reachability for c+, so CAtom.SatMatrix decides almost every
+// pair from the byte alone.
 //
 // A Matrix is immutable after construction and safe for concurrent use.
 type Matrix struct {
-	n      int
-	layers [][]int32 // one per color, wildcard layer last
+	n     int
+	cells [][]uint8 // one flat layer per color, wildcard layer last
+	adjs  []csr     // each layer's adjacency, searched for saturated cells
 }
 
-// csr is a compact forward adjacency for one color layer, built once per
-// layer so the per-source BFS workers never touch the graph's lazy
-// (non-thread-safe) color index.
+// satCell is the saturated cell value: the distance is 255 or more and
+// only a search over the layer's adjacency knows it exactly.
+const satCell = 255
+
+// cellOf encodes a distance (0 = no path) as a matrix cell.
+func cellOf(d int) uint8 {
+	if d >= satCell {
+		return satCell
+	}
+	return uint8(d)
+}
+
+// cellDist decodes a non-saturated cell: 0 is graph.Unreachable, every
+// other value is the distance itself.
+func cellDist(d uint8) int32 {
+	if d == 0 {
+		return graph.Unreachable
+	}
+	return int32(d)
+}
+
+// csr is a compact forward adjacency for one color layer: the build's
+// own immutable snapshot of the layer's out-edges, laid out contiguously
+// for the per-source BFS sweeps and kept by the Matrix to resolve
+// saturated cells.
 type csr struct {
 	rowStart []int32
 	dst      []graph.NodeID
@@ -71,15 +105,14 @@ func newMatrixSerial(g *graph.Graph) *Matrix {
 func newMatrix(g *graph.Graph, workers int) *Matrix {
 	n := g.NumNodes()
 	m := g.NumColors()
-	mx := &Matrix{n: n, layers: make([][]int32, m+1)}
-	adjs := make([]csr, m+1)
+	mx := &Matrix{n: n, cells: make([][]uint8, m+1), adjs: make([]csr, m+1)}
 	for l := 0; l <= m; l++ {
 		c := graph.ColorID(l)
 		if l == m {
 			c = graph.AnyColor
 		}
-		adjs[l] = buildCSR(g, c)
-		mx.layers[l] = make([]int32, n*n)
+		mx.adjs[l] = buildCSR(g, c)
+		mx.cells[l] = make([]uint8, n*n)
 	}
 	if n == 0 {
 		return mx
@@ -99,8 +132,8 @@ func newMatrix(g *graph.Graph, workers int) *Matrix {
 			queue := make([]graph.NodeID, 0, n)
 			for t := range tasks {
 				for src := t.lo; src < t.hi; src++ {
-					bfsRow(adjs[t.layer], graph.NodeID(src),
-						mx.layers[t.layer][src*n:(src+1)*n], queue)
+					bfsRow(mx.adjs[t.layer], graph.NodeID(src),
+						mx.cells[t.layer][src*n:(src+1)*n], queue)
 				}
 			}
 		}()
@@ -120,50 +153,114 @@ func newMatrix(g *graph.Graph, workers int) *Matrix {
 }
 
 // bfsRow fills one matrix row: shortest non-empty distances from src over
-// one layer. row is the src-th slice of the flat layer; queue is a
-// reusable scratch buffer.
-func bfsRow(adj csr, src graph.NodeID, row []int32, queue []graph.NodeID) {
-	for i := range row {
-		row[i] = graph.Unreachable
-	}
-	row[src] = 0
+// one layer. row is the src-th slice of the flat layer and arrives
+// zeroed (all unreachable); queue is a reusable scratch buffer. The BFS
+// is level-synchronous, so the depth is a plain counter and never read
+// back from a cell that may have saturated.
+func bfsRow(adj csr, src graph.NodeID, row []uint8, queue []graph.NodeID) {
 	queue = append(queue[:0], src)
-	// Shortest non-empty cycle through src: every reachable node is
-	// dequeued exactly once with all its out-edges scanned, so edges
-	// closing back on src are all observed.
-	cycle := graph.Unreachable
-	for head := 0; head < len(queue); head++ {
-		v := queue[head]
-		dv := row[v]
-		for _, w := range adj.dst[adj.rowStart[v]:adj.rowStart[v+1]] {
-			if w == src && (cycle == graph.Unreachable || dv+1 < cycle) {
-				cycle = dv + 1
+	// Shortest non-empty cycle through src: src is the root and is never
+	// re-enqueued, and the first level with an edge closing back on it
+	// gives the cycle length.
+	cycle := 0
+	for head, depth := 0, 1; head < len(queue); depth++ {
+		cell := cellOf(depth)
+		for end := len(queue); head < end; head++ {
+			v := queue[head]
+			for _, w := range adj.dst[adj.rowStart[v]:adj.rowStart[v+1]] {
+				if w == src {
+					if cycle == 0 {
+						cycle = depth
+					}
+				} else if row[w] == 0 {
+					row[w] = cell
+					queue = append(queue, w)
+				}
 			}
-			if row[w] == graph.Unreachable {
-				row[w] = dv + 1
+		}
+	}
+	row[src] = cellOf(cycle)
+}
+
+// dist is the exact shortest non-empty distance from src to dst over
+// the layer, by BFS from src: the answer for a saturated cell. Nodes are
+// dequeued in distance order, so the first scanned edge into dst closes
+// a shortest path (a cycle when src == dst). Buffers come from s, the
+// package pool when s is nil, and a context bound to s is observed the
+// way BiDistScratch observes it.
+func (adj csr) dist(src, dst graph.NodeID, s *Scratch) int32 {
+	if s == nil {
+		s = GetScratch()
+		defer PutScratch(s)
+	}
+	d := int32Buf(&s.d, len(adj.rowStart)-1)
+	for i := range d {
+		d[i] = graph.Unreachable
+	}
+	d[src] = 0
+	queue := append(s.q1[:0], src)
+	best := graph.Unreachable
+scan:
+	for head := 0; head < len(queue); head++ {
+		if head&cancelMask == cancelMask && s.Canceled() {
+			break
+		}
+		v := queue[head]
+		for _, w := range adj.dst[adj.rowStart[v]:adj.rowStart[v+1]] {
+			if w == dst {
+				best = d[v] + 1
+				break scan
+			}
+			if d[w] == graph.Unreachable {
+				d[w] = d[v] + 1
 				queue = append(queue, w)
 			}
 		}
 	}
-	row[src] = cycle
+	s.q1 = queue // keep the grown buffer
+	return best
+}
+
+// layer maps a color to its layer index; the wildcard layer is last.
+func (mx *Matrix) layer(c graph.ColorID) int {
+	if c == graph.AnyColor {
+		return len(mx.cells) - 1
+	}
+	return int(c)
+}
+
+// cell is the raw one-byte cell for (c, v1, v2).
+func (mx *Matrix) cell(c graph.ColorID, v1, v2 graph.NodeID) uint8 {
+	return mx.cells[mx.layer(c)][int(v1)*mx.n+int(v2)]
 }
 
 // Dist returns the shortest non-empty distance from v1 to v2 over edges
 // of color c (any edge when c is graph.AnyColor), or graph.Unreachable.
+// A saturated cell borrows a search arena from the package pool; see
+// DistScratch.
 func (mx *Matrix) Dist(c graph.ColorID, v1, v2 graph.NodeID) int32 {
-	l := mx.layers[len(mx.layers)-1]
-	if c != graph.AnyColor {
-		l = mx.layers[c]
-	}
-	return l[int(v1)*mx.n+int(v2)]
+	return mx.DistScratch(c, v1, v2, nil)
 }
 
-// Size returns the matrix memory footprint in bytes — the
-// O((m+1)·|V|²) space cost the cache-based method avoids.
+// DistScratch satisfies Backend for the precomputed matrix: one O(1)
+// cell load, plus — only for a cell saturated at 255 — an exact BFS over
+// the layer's adjacency whose buffers come from s (the package pool
+// when s is nil).
+func (mx *Matrix) DistScratch(c graph.ColorID, v1, v2 graph.NodeID, s *Scratch) int32 {
+	l := mx.layer(c)
+	if d := mx.cells[l][int(v1)*mx.n+int(v2)]; d != satCell {
+		return cellDist(d)
+	}
+	return mx.adjs[l].dist(v1, v2, s)
+}
+
+// Size returns the cell footprint in bytes, (m+1)·|V|² — the quadratic
+// space cost the cache-based method avoids. The kept adjacency adds only
+// O(|V|+|E|) per layer on top.
 func (mx *Matrix) Size() int64 {
 	var total int64
-	for _, l := range mx.layers {
-		total += int64(len(l)) * 4
+	for _, l := range mx.cells {
+		total += int64(len(l))
 	}
 	return total
 }

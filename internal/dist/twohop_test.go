@@ -178,12 +178,15 @@ func TestTwoHopConcurrent(t *testing.T) {
 }
 
 // TestMatrixBytes: the engine's auto-selection quantity must match the
-// actual allocation Matrix makes.
+// actual allocation Matrix makes, one byte per cell.
 func TestMatrixBytes(t *testing.T) {
 	r := rand.New(rand.NewSource(13))
 	g := randGraph(r, 17, 40, []string{"a", "b", "c"})
 	if got, want := PredictMatrixBytes(g), NewMatrix(g).Size(); got != want {
 		t.Fatalf("PredictMatrixBytes = %d, Matrix.Size = %d", got, want)
+	}
+	if got, want := MatrixBytes(17, 3), int64(4*17*17); got != want {
+		t.Fatalf("MatrixBytes(17, 3) = %d, want %d", got, want)
 	}
 }
 

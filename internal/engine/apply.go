@@ -57,6 +57,14 @@ type Commit struct {
 // generation; sessions opened after it see the new one. Apply calls
 // serialize; concurrent Apply is safe but not faster.
 func (e *Engine) Apply(ops []mutate.Op) (Commit, error) {
+	return e.apply(ops, true)
+}
+
+// apply is Apply with the backend rebuild optional. Recover replays with
+// rebuild off: the generations it publishes have no reader, so their
+// backends are left nil and one backend is built for the final
+// generation instead of one per replayed batch.
+func (e *Engine) apply(ops []mutate.Op, rebuild bool) (Commit, error) {
 	if e.immutable != nil {
 		return Commit{}, e.immutable
 	}
@@ -161,7 +169,9 @@ func (e *Engine) Apply(ops []mutate.Op) (Commit, error) {
 	}
 
 	ns := &genState{gen: gen, g: ng}
-	ns.mx, ns.cache, ns.be = e.rebuildBackend(ng)
+	if rebuild {
+		ns.mx, ns.cache, ns.be = e.rebuildBackend(ng)
+	}
 	if base.cands != nil {
 		// Incremental index maintenance: clone only the touched posting
 		// columns, then carry over every memo entry whose predicate the

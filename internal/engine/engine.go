@@ -86,7 +86,7 @@ type Options struct {
 	BackendKind string
 
 	// AutoBackend picks the backend from the graph and MemoryBudget:
-	// the matrix when its (m+1)·|V|²·4 bytes fit the budget (fastest
+	// the matrix when its (m+1)·|V|² bytes fit the budget (fastest
 	// lookups), else a 2-hop label index built under the same budget,
 	// else — when even the labels exceed the budget — a fresh LRU
 	// cache of CacheSize entries. The choice is observable via
@@ -281,6 +281,14 @@ func (o Options) validate() error {
 // ErrOptions; AutoBackend construction itself cannot fail (the cache
 // is the always-available last resort).
 func New(g *graph.Graph, opts Options) (*Engine, error) {
+	return newEngine(g, opts, true)
+}
+
+// newEngine is New with the build of a BackendKind backend optional:
+// Recover skips it, because it builds the backend for the generation it
+// ends at, not for the graph it starts from. Every other selector
+// builds as usual — AutoBackend needs the build to choose its kind.
+func newEngine(g *graph.Graph, opts Options, buildKind bool) (*Engine, error) {
 	if err := opts.validate(); err != nil {
 		return nil, err
 	}
@@ -315,6 +323,9 @@ func New(g *graph.Graph, opts Options) (*Engine, error) {
 		// equivalents, but owned by the engine — rebuilt per generation
 		// by Apply, so this path keeps the engine mutable.
 		kind = opts.BackendKind
+		if !buildKind {
+			break
+		}
 		switch kind {
 		case "matrix":
 			mx = dist.NewMatrix(g)
@@ -348,7 +359,7 @@ func New(g *graph.Graph, opts Options) (*Engine, error) {
 		be = cache
 	}
 
-	if opts.ReachFilter != nil || opts.ReachFilterK > 0 {
+	if be != nil && (opts.ReachFilter != nil || opts.ReachFilterK > 0) {
 		f := opts.ReachFilter
 		if f == nil {
 			f = reachidx.Build(g, opts.ReachFilterK)

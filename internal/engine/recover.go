@@ -34,7 +34,10 @@ type RecoverInfo struct {
 // replay interpreter that could drift. The log's generation numbers
 // double as the cross-check: every replayed batch must commit as
 // exactly the generation it was logged under, or recovery fails loudly
-// instead of continuing from a diverged state.
+// instead of continuing from a diverged state. The one step replay
+// skips is the per-batch backend rebuild: the intermediate generations
+// have no reader, so the distance backend is built once, for the
+// generation recovery ends at.
 //
 // opts must not set WAL (Recover installs w itself, after replay, so
 // replayed batches are not re-appended) and must leave the engine
@@ -57,7 +60,7 @@ func Recover(w *wal.WAL, seed *graph.Graph, opts Options) (*Engine, RecoverInfo,
 		g = graph.New()
 	}
 
-	e, err := New(g, opts)
+	e, err := newEngine(g, opts, false)
 	if err != nil {
 		return nil, info, err
 	}
@@ -70,7 +73,7 @@ func Recover(w *wal.WAL, seed *graph.Graph, opts Options) (*Engine, RecoverInfo,
 	e.cur.Load().gen = info.SnapshotGen
 
 	if err := w.Replay(info.SnapshotGen, func(rec wal.Record) error {
-		cm, err := e.Apply(rec.Ops)
+		cm, err := e.apply(rec.Ops, false)
 		if err != nil {
 			return fmt.Errorf("engine: recover gen %d: %w", rec.Gen, err)
 		}
@@ -82,6 +85,12 @@ func Recover(w *wal.WAL, seed *graph.Graph, opts Options) (*Engine, RecoverInfo,
 		return nil
 	}); err != nil {
 		return nil, info, err
+	}
+	// Replay left every generation it published without a backend (and
+	// newEngine left a BackendKind seed without one): build the one the
+	// final generation serves with. Still no reader, so again race-free.
+	if st := e.cur.Load(); st.mx == nil && st.be == nil {
+		st.mx, st.cache, st.be = e.rebuildBackend(st.g)
 	}
 
 	e.wal = w

@@ -14,6 +14,7 @@ import (
 	"testing"
 	"time"
 
+	"regraph/internal/dist"
 	"regraph/internal/engine"
 	"regraph/internal/gen"
 	"regraph/internal/graph"
@@ -216,6 +217,80 @@ func TestRecoverCompactedLog(t *testing.T) {
 	}
 	if got := graphTSV(t, e2.Graph()); !bytes.Equal(got, wantTSV) {
 		t.Fatal("snapshot+tail recovery is not bit-identical")
+	}
+}
+
+// TestRecoverBuildsFinalBackend: replay skips the per-batch backend
+// rebuilds, so the one backend a recovered engine serves with must be
+// built for the graph it recovered to — from a virgin log (the seed)
+// and after replayed batches — for every engine-built kind.
+func TestRecoverBuildsFinalBackend(t *testing.T) {
+	for _, kind := range []string{"matrix", "twohop", "cache"} {
+		t.Run(kind, func(t *testing.T) {
+			dir := t.TempDir()
+			opts := engine.Options{Workers: 1, BackendKind: kind}
+			w, err := wal.Open(wal.Options{Dir: dir, Fsync: wal.FsyncNone})
+			if err != nil {
+				t.Fatal(err)
+			}
+			e, _, err := engine.Recover(w, crashSeedGraph(), opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			checkBackendMatchesGraph(t, e, kind)
+			for g := uint64(1); g <= 12; g++ {
+				if _, err := e.Apply(crashOpsForGen(g)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := w.Close(); err != nil {
+				t.Fatal(err)
+			}
+
+			w2, err := wal.Open(wal.Options{Dir: dir, Fsync: wal.FsyncNone})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer w2.Close()
+			e2, info, err := engine.Recover(w2, crashSeedGraph(), opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if info.Batches != 12 || e2.Generation() != 12 {
+				t.Fatalf("recovered %+v at gen %d, want 12 batches to gen 12", info, e2.Generation())
+			}
+			checkBackendMatchesGraph(t, e2, kind)
+		})
+	}
+}
+
+// checkBackendMatchesGraph compares the engine's backend against a
+// matrix built from scratch over the engine's current graph, on every
+// layer from every fourth source node.
+func checkBackendMatchesGraph(t *testing.T, e *engine.Engine, kind string) {
+	t.Helper()
+	if e.BackendKind() != kind {
+		t.Fatalf("backend kind %q, want %q", e.BackendKind(), kind)
+	}
+	be := e.Backend()
+	if be == nil {
+		t.Fatal("recovered engine has no backend")
+	}
+	g := e.Graph()
+	want := dist.NewMatrix(g)
+	layers := []graph.ColorID{graph.AnyColor}
+	for c := 0; c < g.NumColors(); c++ {
+		layers = append(layers, graph.ColorID(c))
+	}
+	for _, c := range layers {
+		for v1 := 0; v1 < g.NumNodes(); v1 += 4 {
+			for v2 := 0; v2 < g.NumNodes(); v2++ {
+				a, b := graph.NodeID(v1), graph.NodeID(v2)
+				if got, w := be.Dist(c, a, b), want.Dist(c, a, b); got != w {
+					t.Fatalf("gen %d layer %d: Dist(%d, %d) = %d, fresh matrix %d", e.Generation(), c, v1, v2, got, w)
+				}
+			}
+		}
 	}
 }
 

@@ -2,7 +2,6 @@ package gen
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
 
 	"regraph/internal/dist"
@@ -103,19 +102,22 @@ func YouTube(seed int64, scale float64) *graph.Graph {
 // heuristic uses, so dist.PredictMatrixBytes(g) > budget holds by
 // construction (verified, not assumed).
 func YouTubeUnbuildable(seed int64, budget int64) (*graph.Graph, float64) {
-	// YouTube has 4 colors, so the matrix is 5 layers of n²·4 bytes:
-	// the smallest offending n is √(budget/20)+1.
-	n := 1
-	for int64(n)*int64(n)*20 <= budget {
-		// Direct jump with a linear safety loop on top — float sqrt
-		// rounding must never hand back a graph that still fits.
-		next := intSqrt(budget/20) + 1
-		if next <= n {
-			next = n + 1
-		}
-		n = next
+	// The smallest offending node count for YouTube's 4 colors, found by
+	// bisection on dist.MatrixBytes itself, so it stays exact whatever
+	// a matrix cell costs. Invariant: lo fits the budget, hi does not.
+	const colors = 4
+	lo, hi := 0, 1
+	for dist.MatrixBytes(hi, colors) <= budget {
+		lo, hi = hi, 2*hi
 	}
-	scale := float64(n) / 8350
+	for hi-lo > 1 {
+		if mid := lo + (hi-lo)/2; dist.MatrixBytes(mid, colors) <= budget {
+			lo = mid
+		} else {
+			hi = mid
+		}
+	}
+	scale := float64(hi) / 8350
 	g := YouTube(seed, scale)
 	for dist.PredictMatrixBytes(g) <= budget {
 		// Scale quantization (nodes = int(8350·scale)) undershot; nudge up.
@@ -123,20 +125,6 @@ func YouTubeUnbuildable(seed int64, budget int64) (*graph.Graph, float64) {
 		g = YouTube(seed, scale)
 	}
 	return g, scale
-}
-
-func intSqrt(x int64) int {
-	if x < 0 {
-		return 0
-	}
-	r := int64(math.Sqrt(float64(x)))
-	for r*r > x {
-		r--
-	}
-	for (r+1)*(r+1) <= x {
-		r++
-	}
-	return int(r)
 }
 
 // Terror builds the terrorist-organization collaboration network of

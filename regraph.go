@@ -241,8 +241,8 @@ func ParsePredicate(s string) (Predicate, error) { return predicate.Parse(s) }
 func MustPredicate(s string) Predicate { return predicate.MustParse(s) }
 
 // NewMatrix precomputes the distance matrix of Section 4: one layer per
-// edge color plus a wildcard layer, O((m+1)|V|^2) space. Share it across
-// queries on the same graph.
+// edge color plus a wildcard layer, (m+1)·|V|² one-byte cells. Share it
+// across queries on the same graph.
 func NewMatrix(g *Graph) *Matrix { return dist.NewMatrix(g) }
 
 // NewCache creates an LRU distance cache for graphs too large for a
@@ -269,8 +269,8 @@ func NewTwoHopBudget(ctx context.Context, g *Graph, maxBytes int64) (*TwoHop, er
 // which does exactly that).
 var ErrTwoHopBudget = dist.ErrTwoHopBudget
 
-// PredictMatrixBytes returns the exact bytes NewMatrix would allocate
-// for g — (m+1)·|V|²·4 — without allocating them; the quantity
+// PredictMatrixBytes returns the exact cell bytes NewMatrix would
+// allocate for g — (m+1)·|V|² — without allocating them; the quantity
 // EngineOptions.AutoBackend compares against its MemoryBudget.
 func PredictMatrixBytes(g *Graph) int64 { return dist.PredictMatrixBytes(g) }
 
