@@ -7,21 +7,27 @@ import (
 )
 
 // Backend is the engine-facing distance oracle: the one primitive every
-// evaluation method reduces to — the shortest non-empty distance from v1
-// to v2 over one color layer (graph.AnyColor for any edge), or
-// graph.Unreachable. Matrix, Cache and TwoHop all satisfy it, so the
-// evaluators (reach.StreamBackend, pattern.Options.Backend) and the
-// engine select among them without knowing which one they hold.
+// evaluation method reduces to. Sat answers the evaluators' question —
+// does the shortest non-empty path from v1 to v2 over the atom's color
+// layer satisfy the atom's bound — and Dist the exact distance behind
+// it (graph.AnyColor for any edge; graph.Unreachable when there is no
+// path). Matrix, Cache and TwoHop all satisfy it, so the evaluators
+// (reach.StreamBackend, pattern.Options.Backend) and the engine select
+// among them without knowing which one they hold.
 //
 // Contract:
 //
 //   - Results are exact and identical across implementations: for any
-//     graph, Backend.Dist must agree bit-for-bit with Matrix.Dist.
+//     graph, Backend.Dist must agree bit-for-bit with Matrix.Dist, and
+//     Sat(a, v1, v2, s) with a.Sat(Matrix.Dist(a.Color, v1, v2)).
+//   - Sat may decide without the exact distance: the cache's miss
+//     search stops once no path within the bound is left to find. The
+//     evaluators call Sat; Dist is for tests, oracles and probes.
 //   - Implementations are safe for concurrent use by multiple
 //     goroutines.
-//   - DistScratch is Dist with an explicit per-worker search arena for
-//     implementations that search on demand (Cache misses); index-backed
-//     implementations ignore s. A nil s borrows from the package pool.
+//   - s is a per-worker search arena for implementations that search on
+//     demand (Cache misses, saturated Matrix cells); label-backed
+//     implementations ignore it. A nil s borrows from the package pool.
 //   - Cancellation flows through the arena: callers that need it bind a
 //     context with Scratch.BindContext (as reach.StreamBackend does) and
 //     searching implementations observe it at their checkpoints. O(1)
@@ -29,6 +35,7 @@ import (
 type Backend interface {
 	Dist(c graph.ColorID, v1, v2 graph.NodeID) int32
 	DistScratch(c graph.ColorID, v1, v2 graph.NodeID, s *Scratch) int32
+	Sat(a CAtom, v1, v2 graph.NodeID, s *Scratch) bool
 }
 
 // Statically assert the three shipped backends satisfy the interface.

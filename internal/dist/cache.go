@@ -21,6 +21,15 @@ type Filter interface {
 // workloads that re-ask about the same pairs — the paper's "frequently
 // asked queries" — approach matrix speed at O(capacity) space.
 //
+// An entry holds either an exact distance or a lower bound "the
+// distance exceeds k". Sat's miss search is bounded by the atom: it
+// stops once no path within the bound is left to find, and stores the
+// lower bound it proved. That entry answers every later Sat whose bound
+// is at most k; any other ask is a miss whose result — an exact
+// distance or a larger bound — replaces it. Dist and DistScratch only
+// ever answer from exact entries. Hits count asks answered from an
+// entry, misses count searches.
+//
 // Cache is safe for concurrent use.
 type Cache struct {
 	g *graph.Graph
@@ -43,7 +52,8 @@ type cacheKey struct {
 
 type cacheEntry struct {
 	key        cacheKey
-	d          int32
+	d          int32 // the exact distance; when lower, one it exceeds
+	lower      bool
 	prev, next *cacheEntry
 }
 
@@ -83,6 +93,23 @@ func (ca *Cache) Dist(c graph.ColorID, v1, v2 graph.NodeID) int32 {
 // calling goroutine, so per-worker arenas keep concurrent readers from
 // contending on anything but the LRU lock itself.
 func (ca *Cache) DistScratch(c graph.ColorID, v1, v2 graph.NodeID, s *Scratch) int32 {
+	d, _ := ca.lookup(c, v1, v2, -1, s)
+	return d
+}
+
+// Sat satisfies Backend: whether the pair satisfies the atom, from an
+// entry that decides it or else from a search bounded by the atom (see
+// Cache).
+func (ca *Cache) Sat(a CAtom, v1, v2 graph.NodeID, s *Scratch) bool {
+	d, exact := ca.lookup(a.Color, v1, v2, a.searchBound(ca.g.NumNodes()), s)
+	return exact && a.Sat(d)
+}
+
+// lookup answers (c, v1, v2) from its entry when the entry is exact, or
+// is a lower bound of at least bound (bound >= 0), and otherwise by a
+// biDist search with that bound, which it stores. The result is biDist's:
+// an exact distance, or with exact = false a d the distance exceeds.
+func (ca *Cache) lookup(c graph.ColorID, v1, v2 graph.NodeID, bound int32, s *Scratch) (d int32, exact bool) {
 	key := cacheKey{c, v1, v2}
 	ca.mu.Lock()
 	// The filter check shares the critical section with the map lookup:
@@ -91,33 +118,39 @@ func (ca *Cache) DistScratch(c graph.ColorID, v1, v2 graph.NodeID, s *Scratch) i
 	if ca.filter != nil && !ca.filter.MaybeReaches(c, v1, v2) {
 		ca.filtered++
 		ca.mu.Unlock()
-		return graph.Unreachable
+		return graph.Unreachable, true
 	}
-	if e, ok := ca.entries[key]; ok {
+	if e, ok := ca.entries[key]; ok && (!e.lower || (bound >= 0 && e.d >= bound)) {
 		ca.hits++
 		ca.moveToFront(e)
-		d := e.d
+		d, exact = e.d, !e.lower
 		ca.mu.Unlock()
-		return d
+		return d, exact
 	}
 	ca.misses++
 	ca.mu.Unlock()
 	// The search runs outside the lock; concurrent misses on the same
-	// pair just compute it twice and store the same value.
+	// pair just compute it twice.
 	if s == nil {
 		s = GetScratch()
 		defer PutScratch(s)
 	}
-	d := BiDistScratch(ca.g, c, v1, v2, s)
+	d, exact = biDist(ca.g, c, v1, v2, bound, s)
 	if s.Canceled() {
-		// The search was abandoned by a cancelled context bound to s: d is
-		// not necessarily the shortest distance, so it must never enter
-		// the cache (every entry is exact by contract).
-		return d
+		// The search was abandoned by a cancelled context bound to s: d
+		// proves nothing, so it must never enter the cache.
+		return d, exact
 	}
 	ca.mu.Lock()
-	if _, ok := ca.entries[key]; !ok {
-		e := &cacheEntry{key: key, d: d}
+	if e, ok := ca.entries[key]; ok {
+		// Keep whichever answer decides more: an exact distance beats a
+		// lower bound, and a larger lower bound beats a smaller one.
+		if e.lower && (exact || d > e.d) {
+			e.d, e.lower = d, !exact
+		}
+		ca.moveToFront(e)
+	} else {
+		e := &cacheEntry{key: key, d: d, lower: !exact}
 		ca.entries[key] = e
 		ca.pushFront(e)
 		if len(ca.entries) > ca.capacity {
@@ -125,7 +158,7 @@ func (ca *Cache) DistScratch(c graph.ColorID, v1, v2 graph.NodeID, s *Scratch) i
 		}
 	}
 	ca.mu.Unlock()
-	return d
+	return d, exact
 }
 
 // Stats returns the hit and miss counts since creation. Filtered pairs

@@ -60,7 +60,7 @@ func BiDistCtx(ctx context.Context, g *graph.Graph, c graph.ColorID, v1, v2 grap
 // DistCtx is Cache.DistScratch with cancellation: a hit is returned
 // immediately; a miss runs the bi-directional search under ctx, and a
 // search abandoned by cancellation is neither returned nor stored (the
-// cache only ever holds exact distances).
+// cache only ever holds what a search proved).
 func (ca *Cache) DistCtx(ctx context.Context, c graph.ColorID, v1, v2 graph.NodeID, s *Scratch) (int32, error) {
 	if s == nil {
 		s = GetScratch()

@@ -49,13 +49,9 @@ func (a CAtom) Sat(d int32) bool {
 // SatMatrix is Sat against the precomputed distance matrix, decided by a
 // single O(1) cell load: a saturated cell still proves "reachable" and
 // "beyond any bound below 255". Only a bound of 255 or more over a
-// saturated cell needs the exact distance.
+// saturated cell needs the exact distance. See Matrix.Sat.
 func (a CAtom) SatMatrix(mx *Matrix, v1, v2 graph.NodeID) bool {
-	d := mx.cell(a.Color, v1, v2)
-	if d == satCell && a.Max != rex.Unbounded && a.Max >= satCell {
-		return a.Sat(mx.Dist(a.Color, v1, v2))
-	}
-	return a.Sat(cellDist(d))
+	return mx.Sat(a, v1, v2, nil)
 }
 
 // Compile resolves an expression's atoms against a graph's interned
@@ -78,11 +74,24 @@ func Compile(g *graph.Graph, e rex.Expr) ([]CAtom, bool) {
 	return out, true
 }
 
-// boundedImageInto computes one atom step of a closure: out is filled
-// with the set of nodes w with a non-empty path from some node of src to
-// w, over the atom's color layer, of length within the atom's bound.
-// With forward=false, paths run from w into src instead (the backward
-// image). out must not alias src; BFS buffers come from s.
+// searchBound is the atom's bound as a search cutoff over a graph of n
+// nodes: -1 (search exactly) when the atom is unbounded or its bound
+// reaches n, since no shortest non-empty path is longer than n.
+func (a CAtom) searchBound(n int) int32 {
+	if a.Max == rex.Unbounded || a.Max >= n {
+		return -1
+	}
+	return int32(a.Max)
+}
+
+// boundedImage computes one atom step of a closure: it sets in out, and
+// appends to outIDs, every node w with a non-empty path from some member
+// of src to w, over the atom's color layer, of length within the atom's
+// bound. With forward=false, paths run from w into src instead (the
+// backward image). src holds distinct nodes; out must be all false on
+// entry and must not be the bitset src was read from. BFS buffers come
+// from s, and the work is proportional to the nodes and edges visited.
+// A cancelled search leaves out untouched.
 //
 // The adjacency loops scan g.Out/g.In directly — never the graph's lazy
 // per-color index, so concurrent readers stay race-free — and are
@@ -90,7 +99,7 @@ func Compile(g *graph.Graph, e rex.Expr) ([]CAtom, bool) {
 // closures were the dominant per-query allocation (one closure plus
 // capture cells per BFS), and this is the innermost loop of every
 // runtime-search evaluation.
-func boundedImageInto(g *graph.Graph, src []bool, a CAtom, forward bool, out []bool, s *Scratch) {
+func boundedImage(g *graph.Graph, src []graph.NodeID, a CAtom, forward bool, out []bool, outIDs []graph.NodeID, s *Scratch) []graph.NodeID {
 	n := g.NumNodes()
 	limit := int32(n) // paths beyond |V| hops revisit a node
 	if a.Max != rex.Unbounded && a.Max < n {
@@ -98,24 +107,21 @@ func boundedImageInto(g *graph.Graph, src []bool, a CAtom, forward bool, out []b
 	}
 	c := a.Color
 	// Multi-source BFS from src; d holds the shortest distance from the
-	// set (0 on the sources themselves).
-	d := int32Buf(&s.d, n)
-	for i := range d {
-		d[i] = graph.Unreachable
-	}
+	// set (0 on the sources themselves), and queue lists every node d
+	// has set, sources first.
+	d := restingBuf(&s.d, n)
 	queue := s.queue[:0]
-	for v := range src {
-		if src[v] {
-			d[v] = 0
-			queue = append(queue, graph.NodeID(v))
-		}
+	for _, v := range src {
+		d[v] = 0
+		queue = append(queue, v)
 	}
 	for head := 0; head < len(queue); head++ {
 		if head&cancelMask == cancelMask && s.Canceled() {
-			// Abandoned query: stop expanding. out is garbage from here on;
-			// the evaluator that bound the context discards it.
+			// Abandoned query: stop expanding. The evaluator that bound
+			// the context discards the result.
+			unvisit(d, queue)
 			s.queue = queue
-			return
+			return outIDs
 		}
 		v := queue[head]
 		dv := d[v]
@@ -138,23 +144,21 @@ func boundedImageInto(g *graph.Graph, src []bool, a CAtom, forward bool, out []b
 			}
 		}
 	}
-	s.queue = queue // keep the grown buffer
-	for v := range out {
-		out[v] = d[v] >= 1 && d[v] <= limit
+	// Every node the BFS reached was reached within the bound.
+	for _, v := range queue[len(src):] {
+		out[v] = true
+		outIDs = append(outIDs, v)
 	}
 	// Source nodes have d = 0, but the atom requires a non-empty path:
 	// the shortest one ends with an edge from some reached node, so it is
 	// 1 + min over the node's in-neighbors (over this layer) of d.
-	for v := range src {
-		if !src[v] || out[v] {
-			continue
-		}
+	for _, v := range src {
 		best := graph.Unreachable
 		var edges []graph.Edge
 		if forward {
-			edges = g.In(graph.NodeID(v))
+			edges = g.In(v)
 		} else {
-			edges = g.Out(graph.NodeID(v))
+			edges = g.Out(v)
 		}
 		for _, e := range edges {
 			if c != graph.AnyColor && e.Color != c {
@@ -166,8 +170,12 @@ func boundedImageInto(g *graph.Graph, src []bool, a CAtom, forward bool, out []b
 		}
 		if best >= 1 && best <= limit {
 			out[v] = true
+			outIDs = append(outIDs, v)
 		}
 	}
+	unvisit(d, queue)
+	s.queue = queue // keep the grown buffer
+	return outIDs
 }
 
 // ForwardClosure pushes an atom chain forward from a source set: the
@@ -213,7 +221,7 @@ func BiDist(g *graph.Graph, c graph.ColorID, v1, v2 graph.NodeID) int32 {
 // BiReach reports whether some path from v1 to v2 matches the whole atom
 // chain, by runtime search only: the chain is split in the middle, the
 // prefix is pushed forward from v1, the suffix backward from v2, and the
-// two node sets are intersected.
+// two node sets are intersected. A single atom is one bounded BiSat.
 func BiReach(g *graph.Graph, atoms []CAtom, v1, v2 graph.NodeID) bool {
 	if len(atoms) == 0 {
 		return v1 == v2
@@ -221,23 +229,17 @@ func BiReach(g *graph.Graph, atoms []CAtom, v1, v2 graph.NodeID) bool {
 	s := GetScratch()
 	defer PutScratch(s)
 	if len(atoms) == 1 {
-		return atoms[0].Sat(BiDistScratch(g, atoms[0].Color, v1, v2, s))
+		return BiSat(g, atoms[0], v1, v2, s)
 	}
-	n := g.NumNodes()
 	mid := len(atoms) / 2
-	seed := s.Seed(n)
-	seed[v1] = true
-	// The forward prefix closure must survive the backward suffix closure
-	// (both ping-pong through s.cur/s.next), so park it in a retained
-	// bitset for the intersection.
-	fwd := s.Bitset(n)
-	copy(fwd, ForwardClosureScratch(g, seed, atoms[:mid], s))
-	defer s.Recycle(fwd)
-	seed[v1] = false
-	seed[v2] = true
-	bwd := BackwardClosureScratch(g, seed, atoms[mid:], s)
-	for i := range fwd {
-		if fwd[i] && bwd[i] {
+	// The forward prefix closure's members must survive the backward
+	// suffix closure (both run through the same ping-pong bitsets).
+	_, fwd := ForwardClosureOf(g, []graph.NodeID{v1}, atoms[:mid], s)
+	keep := append(s.NodeList(), fwd...)
+	defer s.RecycleNodeList(keep)
+	bwd, _ := BackwardClosureOf(g, []graph.NodeID{v2}, atoms[mid:], s)
+	for _, v := range keep {
+		if bwd[v] {
 			return true
 		}
 	}

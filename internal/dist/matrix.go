@@ -5,6 +5,7 @@ import (
 	"sync"
 
 	"regraph/internal/graph"
+	"regraph/internal/rex"
 )
 
 // Matrix is the per-color all-pairs distance index of Section 4: one
@@ -193,10 +194,7 @@ func (adj csr) dist(src, dst graph.NodeID, s *Scratch) int32 {
 		s = GetScratch()
 		defer PutScratch(s)
 	}
-	d := int32Buf(&s.d, len(adj.rowStart)-1)
-	for i := range d {
-		d[i] = graph.Unreachable
-	}
+	d := restingBuf(&s.d, len(adj.rowStart)-1)
 	d[src] = 0
 	queue := append(s.q1[:0], src)
 	best := graph.Unreachable
@@ -217,6 +215,7 @@ scan:
 			}
 		}
 	}
+	unvisit(d, queue)
 	s.q1 = queue // keep the grown buffer
 	return best
 }
@@ -252,6 +251,18 @@ func (mx *Matrix) DistScratch(c graph.ColorID, v1, v2 graph.NodeID, s *Scratch) 
 		return cellDist(d)
 	}
 	return mx.adjs[l].dist(v1, v2, s)
+}
+
+// Sat satisfies Backend: one cell load decides, except for a bound of
+// 255 or more over a saturated cell, whose exact search draws its
+// buffers from s (the package pool when s is nil).
+func (mx *Matrix) Sat(a CAtom, v1, v2 graph.NodeID, s *Scratch) bool {
+	l := mx.layer(a.Color)
+	d := mx.cells[l][int(v1)*mx.n+int(v2)]
+	if d == satCell && a.Max != rex.Unbounded && a.Max >= satCell {
+		return a.Sat(mx.adjs[l].dist(v1, v2, s))
+	}
+	return a.Sat(cellDist(d))
 }
 
 // Size returns the cell footprint in bytes, (m+1)·|V|² — the quadratic

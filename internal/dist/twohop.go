@@ -181,14 +181,12 @@ func buildTwoHopLayer(ctx context.Context, g *graph.Graph, c graph.ColorID, s *S
 	lin := make([][]int32, n)
 	lout := make([][]int32, n)
 
-	d := int32Buf(&s.d, n)
+	d := restingBuf(&s.d, n)
 	// tmp is indexed by landmark rank: during landmark h's forward BFS
 	// it holds dOut(h, ·) scattered from Lout(h), so the prune query for
-	// a visited v is one pass over Lin(v). Unreachable marks absent.
-	tmp := int32Buf(&s.d2, n)
-	for i := 0; i < n; i++ {
-		tmp[i] = graph.Unreachable
-	}
+	// a visited v is one pass over Lin(v). Unreachable marks absent, and
+	// unscatter restores it after every landmark.
+	tmp := restingBuf(&s.d2, n)
 
 	addEntry := func() error {
 		if maxBytes > 0 && usedBytes.Add(8) > maxBytes {
@@ -259,11 +257,14 @@ func buildTwoHopLayer(ctx context.Context, g *graph.Graph, c graph.ColorID, s *S
 // holds the landmark's opposite-side label distances scattered by rank;
 // the prune query for v is one pass over labels[v] against tmp.
 func prunedBFS(adj csr, root graph.NodeID, rank int32, d []int32, queueBuf *[]graph.NodeID, tmp []int32, labels [][]int32, addEntry func() error) error {
-	for i := range d {
-		d[i] = graph.Unreachable
-	}
+	// d rests at Unreachable (see Scratch); every exit resets the
+	// entries this search set.
 	d[root] = 0
 	queue := append((*queueBuf)[:0], root)
+	defer func() {
+		unvisit(d, queue)
+		*queueBuf = queue
+	}()
 	for head := 0; head < len(queue); head++ {
 		v := queue[head]
 		dv := d[v]
@@ -274,7 +275,6 @@ func prunedBFS(adj csr, root graph.NodeID, rank int32, d []int32, queueBuf *[]gr
 		}
 		labels[v] = append(labels[v], rank, dv)
 		if err := addEntry(); err != nil {
-			*queueBuf = queue
 			return err
 		}
 		for _, w := range adj.dst[adj.rowStart[v]:adj.rowStart[v+1]] {
@@ -284,7 +284,6 @@ func prunedBFS(adj csr, root graph.NodeID, rank int32, d []int32, queueBuf *[]gr
 			}
 		}
 	}
-	*queueBuf = queue
 	return nil
 }
 
@@ -422,6 +421,12 @@ func (th *TwoHop) Dist(c graph.ColorID, v1, v2 graph.NodeID) int32 {
 // never searches, so the arena is ignored.
 func (th *TwoHop) DistScratch(c graph.ColorID, v1, v2 graph.NodeID, _ *Scratch) int32 {
 	return th.Dist(c, v1, v2)
+}
+
+// Sat satisfies Backend: the atom's bound checked against the label
+// merge's exact distance.
+func (th *TwoHop) Sat(a CAtom, v1, v2 graph.NodeID, _ *Scratch) bool {
+	return a.Sat(th.Dist(a.Color, v1, v2))
 }
 
 // DistCtx is the ctx-aware face, for parity with Cache.DistCtx and

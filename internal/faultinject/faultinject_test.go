@@ -253,10 +253,15 @@ func TestListenerKillAndRecover(t *testing.T) {
 	if err := roundtrip(c1); err == nil {
 		t.Fatal("roundtrip survived AbortAll")
 	}
-	c2 := dial() // connect succeeds (backlog), then the conn is dead
-	defer c2.Close()
-	if err := roundtrip(c2); err == nil {
-		t.Fatal("roundtrip survived SetRefuse")
+	// A refused connection is RST-closed on accept. The reset may reach
+	// the client before connect returns (the dial fails) or after it (the
+	// first roundtrip fails); either shape is the refusal, and only a
+	// successful roundtrip is a failure.
+	if c2, err := net.Dial("tcp", l.Addr().String()); err == nil {
+		defer c2.Close()
+		if err := roundtrip(c2); err == nil {
+			t.Fatal("roundtrip survived SetRefuse")
+		}
 	}
 
 	// Recover.

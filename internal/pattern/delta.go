@@ -67,14 +67,8 @@ func (inc *Incremental) ApplyCommitted(ng *graph.Graph, d Delta) bool {
 	inc.g = ng
 	inc.ck.g = ng
 	n := ng.NumNodes()
-	if inc.mats != nil {
-		for u := range inc.mats {
-			if len(inc.mats[u]) < n {
-				grown := make([]bool, n)
-				copy(grown, inc.mats[u])
-				inc.mats[u] = grown
-			}
-		}
+	for u := range inc.mats {
+		inc.mats[u].grow(n)
 	}
 	relevantC := func(c graph.ColorID) bool {
 		return inc.anyWildcard || inc.relevantColors[c]
@@ -117,14 +111,14 @@ func (inc *Incremental) ApplyCommitted(ng *graph.Graph, d Delta) bool {
 	gainSites := map[graph.NodeID]bool{}
 	for u := range inc.nq.preds {
 		pred := inc.nq.preds[u]
-		m := inc.mats[u]
+		m := &inc.mats[u]
 		for _, v := range nodes {
 			holds := pred.IsTrue() || pred.Eval(ng.Attrs(v))
 			switch {
-			case holds && !m[v]:
+			case holds && !m.has[v]:
 				gainSites[v] = true
-			case !holds && m[v]:
-				m[v] = false
+			case !holds && m.has[v]:
+				m.remove(v)
 				shrunk = true
 			}
 		}
@@ -150,13 +144,13 @@ func (inc *Incremental) ApplyCommitted(ng *graph.Graph, d Delta) bool {
 		region := inc.backwardBallMulti(centers)
 		for u := range inc.nq.preds {
 			pred := inc.nq.preds[u]
-			m := inc.mats[u]
+			m := &inc.mats[u]
 			for v := range region {
-				if !region[v] || m[v] {
+				if !region[v] || m.has[v] {
 					continue
 				}
 				if pred.IsTrue() || pred.Eval(ng.Attrs(graph.NodeID(v))) {
-					m[v] = true
+					m.add(graph.NodeID(v))
 					grew = true
 				}
 			}
@@ -165,9 +159,7 @@ func (inc *Incremental) ApplyCommitted(ng *graph.Graph, d Delta) bool {
 	if !grew && !shrunk && !remRel {
 		return false
 	}
-	if !refine(ng, inc.nq, inc.ck, inc.mats, false, inc.ck.scratch) {
-		inc.mats = nil
-	}
+	inc.refine()
 	return true
 }
 

@@ -2,6 +2,7 @@ package pattern
 
 import (
 	"context"
+	"slices"
 
 	"regraph/internal/dist"
 	"regraph/internal/graph"
@@ -154,13 +155,77 @@ func normalize(g *graph.Graph, q *Query, split bool) (*normQuery, [][]dist.CAtom
 	return nq, chains, true
 }
 
+// nodeSet is a match set: a bitset of length |V| for membership tests,
+// plus a list of the members in ascending order so that iterating the
+// set costs its size, not |V|. Removal clears the bit only; members
+// drops removed nodes from the list lazily, and sorts it again after
+// adds. Bitset and list come from a dist.Scratch (see newNodeSet).
+type nodeSet struct {
+	has      []bool
+	ids      []graph.NodeID // a superset of the members
+	unsorted bool           // ids may be out of order or repeat a node
+}
+
+func newNodeSet(n int, s *dist.Scratch) nodeSet {
+	return nodeSet{has: s.Bitset(n), ids: s.NodeList()}
+}
+
+// release hands the set's buffers back to the arena they came from.
+func (m *nodeSet) release(s *dist.Scratch) {
+	s.Recycle(m.has)
+	s.RecycleNodeList(m.ids)
+	*m = nodeSet{}
+}
+
+// add inserts v.
+func (m *nodeSet) add(v graph.NodeID) {
+	if m.has[v] {
+		return
+	}
+	m.has[v] = true
+	if k := len(m.ids); k > 0 && m.ids[k-1] >= v {
+		m.unsorted = true
+	}
+	m.ids = append(m.ids, v)
+}
+
+// remove deletes v.
+func (m *nodeSet) remove(v graph.NodeID) { m.has[v] = false }
+
+// grow extends the universe to n nodes (new nodes are not members).
+func (m *nodeSet) grow(n int) {
+	if len(m.has) < n {
+		m.has = append(m.has, make([]bool, n-len(m.has))...)
+	}
+}
+
+// members returns the members in ascending order. The slice is the
+// set's own: it stays valid until the next add or members call, and
+// removals after this call leave their nodes in it.
+func (m *nodeSet) members() []graph.NodeID {
+	if m.unsorted {
+		slices.Sort(m.ids)
+		m.ids = slices.Compact(m.ids)
+		m.unsorted = false
+	}
+	k := 0
+	for _, v := range m.ids {
+		if m.has[v] {
+			m.ids[k] = v
+			k++
+		}
+	}
+	m.ids = m.ids[:k]
+	return m.ids
+}
+
 // checker abstracts the Join procedure of Fig. 7: prune from src every
 // node with no edge-satisfying successor in tgt. Implementations differ
 // between matrix mode (O(1) pair lookups) and runtime-search mode
 // (multi-source bounded BFS). Both report whether src changed and whether
 // it stayed non-empty.
 type checker interface {
-	refineSrc(ei int, src, tgt []bool) (changed, nonEmpty bool)
+	refineSrc(ei int, src, tgt *nodeSet) (changed, nonEmpty bool)
 }
 
 // matrixChecker: every normalized edge is a single atom; each pair check
@@ -174,7 +239,8 @@ type matrixChecker struct {
 	s     *dist.Scratch
 }
 
-func (c *matrixChecker) refineSrc(ei int, src, tgt []bool) (changed, nonEmpty bool) {
+func (c *matrixChecker) refineSrc(ei int, srcSet, tgtSet *nodeSet) (changed, nonEmpty bool) {
+	src, tgt := srcSet.has, tgtSet.has
 	a := c.edges[ei].atom
 	seen := 0
 	for x := range src {
@@ -205,14 +271,14 @@ func (c *matrixChecker) refineSrc(ei int, src, tgt []bool) (changed, nonEmpty bo
 }
 
 // searchChecker: edges keep their whole atom chains. Single-atom edges
-// are checked pair by pair through the distance backend when one is
-// configured — the LRU cache is the paper's configuration (a miss
-// recomputes the distance from scratch with bi-directional BFS), but
-// any dist.Backend (TwoHop labels, a Matrix used without normalized
-// splitting) slots in identically. Multi-atom edges use the paper's
-// multi-color runtime evaluation: the whole target set's backward image
-// under the expression, by multi-source bounded BFS, intersected with the
-// source set.
+// are checked pair by pair through Backend.Sat when a backend is
+// configured — the LRU cache is the paper's configuration (a miss runs a
+// bi-directional BFS bounded by the atom), but any dist.Backend (TwoHop
+// labels, a Matrix used without normalized splitting) slots in
+// identically. Multi-atom edges use the paper's multi-color runtime
+// evaluation: the whole target set's backward image under the
+// expression, by multi-source bounded BFS, intersected with the source
+// set. Both iterate set members, never |V| slots.
 type searchChecker struct {
 	g       *graph.Graph
 	be      dist.Backend
@@ -220,20 +286,20 @@ type searchChecker struct {
 	scratch *dist.Scratch
 }
 
-func (c *searchChecker) refineSrc(ei int, src, tgt []bool) (changed, nonEmpty bool) {
+func (c *searchChecker) refineSrc(ei int, src, tgt *nodeSet) (changed, nonEmpty bool) {
 	atoms := c.chains[ei]
 	if len(atoms) == 1 && c.be != nil {
 		a := atoms[0]
-		for x := range src {
-			if !src[x] {
-				continue
-			}
+		// src and tgt may be one set (a self-loop edge): membership is
+		// read live from the bitset, as removals happen.
+		targets := tgt.members()
+		for _, x := range src.members() {
 			if c.scratch.Canceled() {
 				return changed, true
 			}
 			keep := false
-			for y := range tgt {
-				if tgt[y] && a.Sat(c.be.DistScratch(a.Color, graph.NodeID(x), graph.NodeID(y), c.scratch)) {
+			for _, y := range targets {
+				if tgt.has[y] && c.be.Sat(a, x, y, c.scratch) {
 					keep = true
 					break
 				}
@@ -241,27 +307,24 @@ func (c *searchChecker) refineSrc(ei int, src, tgt []bool) (changed, nonEmpty bo
 			if keep {
 				nonEmpty = true
 			} else {
-				src[x] = false
+				src.remove(x)
 				changed = true
 			}
 		}
 		return changed, nonEmpty
 	}
-	img := dist.BackwardClosureScratch(c.g, tgt, atoms, c.scratch)
+	img, _ := dist.BackwardClosureOf(c.g, tgt.members(), atoms, c.scratch)
 	if c.scratch.Canceled() {
 		// img is garbage from an abandoned closure; refining against it
 		// would prune wrongly. Report "no change" and let the fixpoint
 		// loop observe the cancellation.
 		return false, true
 	}
-	for x := range src {
-		if !src[x] {
-			continue
-		}
+	for _, x := range src.members() {
 		if img[x] {
 			nonEmpty = true
 		} else {
-			src[x] = false
+			src.remove(x)
 			changed = true
 		}
 	}
@@ -310,10 +373,11 @@ func JoinMatchCtx(ctx context.Context, g *graph.Graph, q *Query, opts Options) (
 	} else {
 		ck = &searchChecker{g: g, be: opts.distBackend(), chains: chains, scratch: s}
 	}
-	mats := initialMats(g, nq, opts.Cands)
+	mats := initialMats(g, nq, opts.Cands, s)
 	if mats == nil {
 		return &Result{}, nil
 	}
+	defer releaseMats(mats, s)
 	if !refine(g, nq, ck, mats, opts.DisableTopoOrder, s) {
 		if s.Canceled() {
 			return nil, ctx.Err()
@@ -327,18 +391,18 @@ func JoinMatchCtx(ctx context.Context, g *graph.Graph, q *Query, opts Options) (
 	return res, nil
 }
 
-// initialMats computes mat(u) = {x | x matches fv(u)} as bitsets; nil if
-// some edge-incident pattern node has no candidates at all. Isolated
-// pattern nodes do not influence the answer (the answer is defined per
-// edge; the paper assumes connected patterns and its minimization drops
-// isolated nodes), so their emptiness is not fatal. Non-trivial
-// predicates seed through cs when non-nil instead of the per-node scan.
-func initialMats(g *graph.Graph, nq *normQuery, cs reach.CandidateSource) [][]bool {
+// initialMats computes mat(u) = {x | x matches fv(u)} as node sets drawn
+// from s; nil if some edge-incident pattern node has no candidates at
+// all. Isolated pattern nodes do not influence the answer (the answer is
+// defined per edge; the paper assumes connected patterns and its
+// minimization drops isolated nodes), so their emptiness is not fatal.
+// Non-trivial predicates seed through cs when non-nil instead of the
+// per-node scan.
+func initialMats(g *graph.Graph, nq *normQuery, cs reach.CandidateSource, s *dist.Scratch) []nodeSet {
 	n := g.NumNodes()
-	mats := make([][]bool, len(nq.preds))
+	mats := make([]nodeSet, len(nq.preds))
 	for u, p := range nq.preds {
-		m := make([]bool, n)
-		any := false
+		m := newNodeSet(n, s)
 		if nq.orig[u] < 0 {
 			// Dummy node: no predicate, but a witness at this chain
 			// position must have an incoming edge of the preceding atom's
@@ -357,34 +421,38 @@ func initialMats(g *graph.Graph, nq *normQuery, cs reach.CandidateSource) [][]bo
 			}
 			for v := 0; v < n; v++ {
 				if hasIn(graph.NodeID(v)) && hasOut(graph.NodeID(v)) {
-					m[v] = true
-					any = true
+					m.add(graph.NodeID(v))
 				}
 			}
 		} else if p.IsTrue() {
-			for v := range m {
-				m[v] = true
+			for v := 0; v < n; v++ {
+				m.add(graph.NodeID(v))
 			}
-			any = n > 0
 		} else if cs != nil {
 			for _, v := range cs.Candidates(p) {
-				m[v] = true
-				any = true
+				m.add(v)
 			}
 		} else {
 			for v := 0; v < n; v++ {
 				if p.Eval(g.Attrs(graph.NodeID(v))) {
-					m[v] = true
-					any = true
+					m.add(graph.NodeID(v))
 				}
 			}
 		}
-		if !any && (len(nq.out[u]) > 0 || len(nq.in[u]) > 0) {
+		mats[u] = m
+		if len(m.ids) == 0 && (len(nq.out[u]) > 0 || len(nq.in[u]) > 0) {
+			releaseMats(mats[:u+1], s)
 			return nil
 		}
-		mats[u] = m
 	}
 	return mats
+}
+
+// releaseMats hands every match set's buffers back to s.
+func releaseMats(mats []nodeSet, s *dist.Scratch) {
+	for u := range mats {
+		mats[u].release(s)
+	}
 }
 
 // refine runs the fixpoint of Fig. 7 (lines 6-14): components of the
@@ -392,7 +460,7 @@ func initialMats(g *graph.Graph, nq *normQuery, cs reach.CandidateSource) [][]bo
 // whose target lost matches re-triggers its sources. Returns false when
 // some match set empties — or when the context bound to s is cancelled,
 // which callers distinguish via s.Canceled().
-func refine(g *graph.Graph, nq *normQuery, ck checker, mats [][]bool, noOrder bool, s *dist.Scratch) bool {
+func refine(g *graph.Graph, nq *normQuery, ck checker, mats []nodeSet, noOrder bool, s *dist.Scratch) bool {
 	var comps [][]int
 	if noOrder {
 		// Ablation mode: one flat "component" holding every node, i.e. a
@@ -436,7 +504,7 @@ func refine(g *graph.Graph, nq *normQuery, ck checker, mats [][]bool, noOrder bo
 			queue = queue[1:]
 			queued[ei] = false
 			e := nq.edges[ei]
-			changed, nonEmpty := ck.refineSrc(ei, mats[e.from], mats[e.to])
+			changed, nonEmpty := ck.refineSrc(ei, &mats[e.from], &mats[e.to])
 			if changed && !nonEmpty {
 				return false
 			}
@@ -456,42 +524,37 @@ func refine(g *graph.Graph, nq *normQuery, ck checker, mats [][]bool, noOrder bo
 }
 
 // collect builds the final Se sets (Fig. 7 lines 15-17) from the match
-// sets of the original nodes. On cancellation (observed through s's
-// binding) the partial result is meaningless; callers must check
-// s.Canceled() before using it.
-func collect(g *graph.Graph, q *Query, nq *normQuery, chains [][]dist.CAtom, mats [][]bool, opts Options, s *dist.Scratch) *Result {
+// sets of the original nodes, iterating their members in ascending
+// order. On cancellation (observed through s's binding) the partial
+// result is meaningless; callers must check s.Canceled() before using
+// it.
+func collect(g *graph.Graph, q *Query, nq *normQuery, chains [][]dist.CAtom, mats []nodeSet, opts Options, s *dist.Scratch) *Result {
 	res := &Result{q: q, Sets: make([][]reach.Pair, q.NumEdges())}
+	be := opts.distBackend()
 	for ei := 0; ei < q.NumEdges(); ei++ {
 		e := q.Edge(ei)
-		from := mats[nq.ofNode[e.From]]
-		to := mats[nq.ofNode[e.To]]
+		from := mats[nq.ofNode[e.From]].members()
+		to := mats[nq.ofNode[e.To]].members()
 		atoms := chains[ei]
 		var pairs []reach.Pair
 		if len(atoms) == 1 {
 			a := atoms[0]
-			seen := 0
-			for x := range from {
-				if !from[x] {
-					continue
-				}
-				seen++
-				if seen&255 == 0 && s.Canceled() {
+			for i, x := range from {
+				if i&255 == 255 && s.Canceled() {
 					return &Result{}
 				}
-				for y := range to {
-					if !to[y] {
-						continue
-					}
-					sat := false
-					if opts.Matrix != nil {
-						sat = a.SatMatrix(opts.Matrix, graph.NodeID(x), graph.NodeID(y))
-					} else if be := opts.distBackend(); be != nil {
-						sat = a.Sat(be.DistScratch(a.Color, graph.NodeID(x), graph.NodeID(y), s))
-					} else {
-						sat = a.Sat(dist.BiDistScratch(g, a.Color, graph.NodeID(x), graph.NodeID(y), s))
+				for _, y := range to {
+					var sat bool
+					switch {
+					case opts.Matrix != nil:
+						sat = a.SatMatrix(opts.Matrix, x, y)
+					case be != nil:
+						sat = be.Sat(a, x, y, s)
+					default:
+						sat = dist.BiSat(g, a, x, y, s)
 					}
 					if sat {
-						pairs = append(pairs, reach.Pair{From: graph.NodeID(x), To: graph.NodeID(y)})
+						pairs = append(pairs, reach.Pair{From: x, To: y})
 					}
 				}
 			}
@@ -499,20 +562,14 @@ func collect(g *graph.Graph, q *Query, nq *normQuery, chains [][]dist.CAtom, mat
 			// Multi-atom edge: one backward closure from the target set
 			// per source candidate would be wasteful; instead compute the
 			// forward closure per source and intersect with targets.
-			seed := s.Seed(g.NumNodes())
-			for x := range from {
-				if !from[x] {
-					continue
-				}
-				seed[x] = true
-				fc := dist.ForwardClosureScratch(g, seed, atoms, s)
-				seed[x] = false
+			for _, x := range from {
+				fc, _ := dist.ForwardClosureOf(g, []graph.NodeID{x}, atoms, s)
 				if s.Canceled() {
 					return &Result{}
 				}
-				for y := range to {
-					if to[y] && fc[y] {
-						pairs = append(pairs, reach.Pair{From: graph.NodeID(x), To: graph.NodeID(y)})
+				for _, y := range to {
+					if fc[y] {
+						pairs = append(pairs, reach.Pair{From: x, To: y})
 					}
 				}
 			}

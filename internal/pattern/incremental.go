@@ -39,7 +39,7 @@ type Incremental struct {
 	nq     *normQuery
 	chains [][]dist.CAtom
 	ck     *searchChecker
-	mats   [][]bool // nil when the current answer is empty
+	mats   []nodeSet // nil when the current answer is empty
 	// relevantColors[c] reports whether color c occurs in some chain;
 	// anyWildcard is set when some atom is the wildcard.
 	relevantColors map[graph.ColorID]bool
@@ -136,9 +136,17 @@ func (inc *Incremental) analyze() {
 // says the scan wins. Callers wanting indexed seeding on a *static*
 // graph evaluate through JoinMatch with Options.Cands instead.
 func (inc *Incremental) full() {
-	mats := initialMats(inc.g, inc.nq, nil)
-	if mats == nil || !refine(inc.g, inc.nq, inc.ck, mats, false, inc.ck.scratch) {
+	s := inc.ck.scratch
+	if inc.mats != nil {
+		releaseMats(inc.mats, s)
 		inc.mats = nil
+	}
+	mats := initialMats(inc.g, inc.nq, nil, s)
+	if mats == nil {
+		return
+	}
+	if !refine(inc.g, inc.nq, inc.ck, mats, false, s) {
+		releaseMats(mats, s)
 		return
 	}
 	inc.mats = mats
@@ -162,12 +170,7 @@ func (inc *Incremental) MatchSet(u int) []graph.NodeID {
 		return nil
 	}
 	var out []graph.NodeID
-	for v, in := range inc.mats[inc.nq.ofNode[u]] {
-		if in {
-			out = append(out, graph.NodeID(v))
-		}
-	}
-	return out
+	return append(out, inc.mats[inc.nq.ofNode[u]].members()...)
 }
 
 // relevant reports whether an edge of this color can influence the
@@ -213,13 +216,13 @@ func (inc *Incremental) InsertEdge(from, to graph.NodeID, color string) {
 	changedAny := false
 	for u := range inc.nq.preds {
 		pred := inc.nq.preds[u]
-		m := inc.mats[u]
+		m := &inc.mats[u]
 		for v := range region {
-			if !region[v] || m[v] {
+			if !region[v] || m.has[v] {
 				continue
 			}
 			if pred.IsTrue() || pred.Eval(inc.g.Attrs(graph.NodeID(v))) {
-				m[v] = true
+				m.add(graph.NodeID(v))
 				changedAny = true
 			}
 		}
@@ -227,9 +230,7 @@ func (inc *Incremental) InsertEdge(from, to graph.NodeID, color string) {
 	if !changedAny {
 		return
 	}
-	if !refine(inc.g, inc.nq, inc.ck, inc.mats, false, inc.ck.scratch) {
-		inc.mats = nil
-	}
+	inc.refine()
 }
 
 // backwardBall returns the set of nodes with a path *to* src of length at
@@ -264,9 +265,7 @@ func (inc *Incremental) DeleteEdge(from, to graph.NodeID, color string) error {
 	if inc.mats == nil || !inc.relevant(color) {
 		return nil
 	}
-	if !refine(inc.g, inc.nq, inc.ck, inc.mats, false, inc.ck.scratch) {
-		inc.mats = nil
-	}
+	inc.refine()
 	return nil
 }
 
@@ -282,14 +281,22 @@ func (inc *Incremental) InsertNode(name string, attrs map[string]string) graph.N
 		return id
 	}
 	for u := range inc.nq.preds {
-		grown := append(inc.mats[u], false)
-		if len(inc.nq.out[u]) == 0 {
-			p := inc.nq.preds[u]
-			grown[id] = p.IsTrue() || p.Eval(inc.g.Attrs(id))
+		m := &inc.mats[u]
+		m.grow(int(id) + 1)
+		if p := inc.nq.preds[u]; len(inc.nq.out[u]) == 0 && (p.IsTrue() || p.Eval(inc.g.Attrs(id))) {
+			m.add(id)
 		}
-		inc.mats[u] = grown
 	}
 	return id
+}
+
+// refine re-runs the fixpoint from the current match sets, dropping them
+// when the answer empties.
+func (inc *Incremental) refine() {
+	if !refine(inc.g, inc.nq, inc.ck, inc.mats, false, inc.ck.scratch) {
+		releaseMats(inc.mats, inc.ck.scratch)
+		inc.mats = nil
+	}
 }
 
 // Refresh recomputes the answer from scratch; call it if the graph was

@@ -45,10 +45,11 @@ func SplitMatchCtx(ctx context.Context, g *graph.Graph, q *Query, opts Options) 
 	} else {
 		ck = &searchChecker{g: g, be: opts.distBackend(), chains: chains, scratch: s}
 	}
-	mats := initialMats(g, nq, opts.Cands)
+	mats := initialMats(g, nq, opts.Cands, s)
 	if mats == nil {
 		return &Result{}, nil
 	}
+	defer releaseMats(mats, s)
 	st := newSplitState(g.NumNodes(), nq, mats)
 
 	// Seed the worklist with every edge (Fig. 8 line 7 computes rmv for
@@ -70,29 +71,32 @@ func SplitMatchCtx(ctx context.Context, g *graph.Graph, q *Query, opts Options) 
 		// rmv(e): sources in mat(u') with no satisfying successor in
 		// mat(u). Computed against a scratch copy so the split machinery
 		// owns the actual removal.
-		work := s.Bitset(len(mats[e.from]))
-		copy(work, mats[e.from])
-		changed, nonEmpty := ck.refineSrc(ei, work, mats[e.to])
+		src := &mats[e.from]
+		work := newNodeSet(len(src.has), s)
+		for _, v := range src.members() {
+			work.add(v)
+		}
+		changed, nonEmpty := ck.refineSrc(ei, &work, &mats[e.to])
 		if !changed {
-			s.Recycle(work)
+			work.release(s)
 			continue
 		}
 		if !nonEmpty {
-			s.Recycle(work)
+			work.release(s)
 			if s.Canceled() {
 				return nil, ctx.Err()
 			}
 			return &Result{}, nil
 		}
-		rmv := s.Bitset(len(work))
-		for v := range work {
-			rmv[v] = mats[e.from][v] && !work[v]
+		rmv := s.Bitset(len(src.has))
+		for _, v := range src.members() {
+			rmv[v] = !work.has[v]
 		}
 		// Split every block of par against rmv, then drop the rmv-side
 		// blocks from rel(u') — which updates mat(u') (Fig. 8 lines 10-11).
 		st.split(rmv)
 		st.dropFromRel(e.from, rmv, mats)
-		s.Recycle(work)
+		work.release(s)
 		s.Recycle(rmv)
 		// Propagate: edges into u' must recompute their rmv sets
 		// (Fig. 8 lines 12-14).
@@ -123,7 +127,7 @@ type splitState struct {
 // their signature — the set of pattern nodes whose initial match set
 // contains them — which generalizes the paper's B(u) initialization to
 // overlapping match sets while keeping par a true partition.
-func newSplitState(n int, nq *normQuery, mats [][]bool) *splitState {
+func newSplitState(n int, nq *normQuery, mats []nodeSet) *splitState {
 	st := &splitState{
 		blockOf: make([]int, n),
 		rel:     make([]map[int]bool, len(nq.preds)),
@@ -132,7 +136,7 @@ func newSplitState(n int, nq *normQuery, mats [][]bool) *splitState {
 	sig := make([]byte, len(nq.preds))
 	for v := 0; v < n; v++ {
 		for u := range nq.preds {
-			if mats[u][v] {
+			if mats[u].has[v] {
 				sig[u] = '1'
 			} else {
 				sig[u] = '0'
@@ -150,10 +154,8 @@ func newSplitState(n int, nq *normQuery, mats [][]bool) *splitState {
 	}
 	for u := range nq.preds {
 		st.rel[u] = map[int]bool{}
-		for v := 0; v < n; v++ {
-			if mats[u][v] {
-				st.rel[u][st.blockOf[v]] = true
-			}
+		for _, v := range mats[u].members() {
+			st.rel[u][st.blockOf[v]] = true
 		}
 	}
 	return st
@@ -198,13 +200,13 @@ func (st *splitState) split(set []bool) {
 // dropFromRel removes from pattern node u's rel every block contained in
 // set (after split, blocks are either inside or outside set), and clears
 // the corresponding bits of u's match set.
-func (st *splitState) dropFromRel(u int, set []bool, mats [][]bool) {
+func (st *splitState) dropFromRel(u int, set []bool, mats []nodeSet) {
 	for b := range st.rel[u] {
 		m := st.members[b]
 		if len(m) > 0 && set[m[0]] {
 			delete(st.rel[u], b)
 			for _, v := range m {
-				mats[u][v] = false
+				mats[u].remove(graph.NodeID(v))
 			}
 		}
 	}

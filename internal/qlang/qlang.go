@@ -26,11 +26,18 @@ import (
 	"regraph/internal/rex"
 )
 
+// maxLineBytes is the longest pattern line ParsePattern accepts; a
+// longer one fails with bufio.ErrTooLong.
+const maxLineBytes = 1 << 20
+
 // ParsePattern reads a pattern query from the line format.
 func ParsePattern(r io.Reader) (*pattern.Query, error) {
 	q := pattern.New()
 	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 1<<20), 1<<20)
+	// Lines may be up to maxLineBytes long, but the buffer starts empty
+	// and grows only as far as the longest line needs: a pattern is a few
+	// short lines, and ParsePattern runs once per served pq request.
+	sc.Buffer(nil, maxLineBytes)
 	lineNo := 0
 	for sc.Scan() {
 		lineNo++

@@ -1,7 +1,10 @@
 package qlang_test
 
 import (
+	"bufio"
 	"bytes"
+	"errors"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -84,5 +87,42 @@ func TestRoundTrip(t *testing.T) {
 	}
 	if q2.String() != q.String() {
 		t.Errorf("round trip changed the pattern:\n%s\nvs\n%s", q.String(), q2.String())
+	}
+}
+
+// TestParseLineLimit pins the scanner's line limit: a line just under
+// 1 MiB still reaches the parser, a longer one fails with
+// bufio.ErrTooLong.
+func TestParseLineLimit(t *testing.T) {
+	const limit = 1 << 20
+	long := "# " + strings.Repeat("x", limit-16) + "\nnode A *\n"
+	if _, err := qlang.ParsePatternString(long); err != nil {
+		t.Fatalf("line of %d bytes: %v", limit-14, err)
+	}
+	tooLong := "# " + strings.Repeat("x", limit+16) + "\nnode A *\n"
+	if _, err := qlang.ParsePatternString(tooLong); !errors.Is(err, bufio.ErrTooLong) {
+		t.Fatalf("line of %d bytes: err = %v, want bufio.ErrTooLong", limit+18, err)
+	}
+}
+
+// TestParseAllocatesLittle guards the served path: ParsePattern runs
+// once per pq request, so it must not allocate a line buffer of the
+// maximum line length up front.
+func TestParseAllocatesLittle(t *testing.T) {
+	const text = "node A job = doctor\nnode B job = biologist\nnode C *\nedge A B fa{2} fn\nedge B C sn+\n"
+	if _, err := qlang.ParsePatternString(text); err != nil {
+		t.Fatal(err)
+	}
+	const runs = 50
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		if _, err := qlang.ParsePatternString(text); err != nil {
+			t.Fatal(err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	if perParse := (after.TotalAlloc - before.TotalAlloc) / runs; perParse >= 64<<10 {
+		t.Errorf("ParsePattern allocates %d bytes per 5-line pattern, want < 64 KiB", perParse)
 	}
 }

@@ -266,38 +266,6 @@ func (q Query) EvalBackendScratchWith(g *graph.Graph, be dist.Backend, s *dist.S
 	return out
 }
 
-// bitsetListPool recycles the slice-of-bitset headers EvalBiBFSScratch
-// retains its backward closures in.
-var bitsetListPool = sync.Pool{
-	New: func() any {
-		s := make([][]bool, 0, 16)
-		return &s
-	},
-}
-
-func takeBitsetList(n int) *[][]bool {
-	lp := bitsetListPool.Get().(*[][]bool)
-	for len(*lp) < n {
-		*lp = append(*lp, nil)
-	}
-	*lp = (*lp)[:n]
-	return lp
-}
-
-func putBitsetList(lp *[][]bool) {
-	clear(*lp)
-	bitsetListPool.Put(lp)
-}
-
-func intersects(a, b []bool) bool {
-	for i := range a {
-		if a[i] && b[i] {
-			return true
-		}
-	}
-	return false
-}
-
 // Matches reports whether the single pair (v1, v2) is an answer, using
 // the provided matrix when non-nil and bi-directional search otherwise.
 func (q Query) Matches(g *graph.Graph, mx *dist.Matrix, v1, v2 graph.NodeID) bool {

@@ -3,6 +3,7 @@ package reach_test
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"runtime/debug"
 	"sort"
 	"testing"
@@ -11,6 +12,7 @@ import (
 	"regraph/internal/dist"
 	"regraph/internal/gen"
 	"regraph/internal/graph"
+	"regraph/internal/pattern"
 	"regraph/internal/predicate"
 	"regraph/internal/reach"
 	"regraph/internal/rex"
@@ -316,4 +318,113 @@ func TestEvalBiBFSAllocRegression(t *testing.T) {
 		t.Errorf("EvalBiBFS allocates %.0f/run, want <= 64", got)
 	}
 	_ = sink
+}
+
+// paddedGraph is a fixed core followed by pad isolated nodes: 4 sources
+// (role=src) reach 8 hubs over "a" edges, and every hub reaches 96
+// destinations (role=dst) over "b" edges, one of them through a "b"
+// chain of two. Candidate sets, closures and answers are the same for
+// every pad; only |V| grows.
+func paddedGraph(pad int) *graph.Graph {
+	g := graph.New()
+	var src, hub, dst []graph.NodeID
+	for i := 0; i < 4; i++ {
+		src = append(src, g.AddNode(fmt.Sprintf("s%d", i), map[string]string{"role": "src"}))
+	}
+	for i := 0; i < 8; i++ {
+		hub = append(hub, g.AddNode(fmt.Sprintf("h%d", i), nil))
+	}
+	for i := 0; i < 96; i++ {
+		dst = append(dst, g.AddNode(fmt.Sprintf("d%d", i), map[string]string{"role": "dst"}))
+	}
+	for i, s := range src {
+		g.AddEdge(s, hub[2*i], "a")
+		g.AddEdge(s, hub[2*i+1], "a")
+	}
+	for i, d := range dst {
+		if i%3 == 0 {
+			g.AddEdge(hub[i%8], dst[(i+1)%96], "b")
+		}
+		g.AddEdge(hub[i%8], d, "b")
+	}
+	for i := 0; i < pad; i++ {
+		g.AddNode(fmt.Sprintf("p%d", i), nil)
+	}
+	return g
+}
+
+// perRun measures the mean allocation count and bytes of f over runs
+// calls, with the GC off and one P, so that pooled buffers stay put: a
+// goroutine that moves to another P misses the sync.Pool entries it put
+// on the first.
+func perRun(runs int, f func()) (allocs, bytes uint64) {
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	f() // warm arenas, pools and caches
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return (after.Mallocs - before.Mallocs) / uint64(runs), (after.TotalAlloc - before.TotalAlloc) / uint64(runs)
+}
+
+// TestStreamBackendMultiAtomAllocsFlatInV: a multi-atom RQ through
+// StreamBackend with 96 destination candidates — more than the arena's
+// 64-entry bitset free list — allocates the same count and bytes per run
+// at |V| = 1,108 and at |V| = 64,108. Keeping one |V|-long bitset per
+// destination made the bytes grow with |V|.
+func TestStreamBackendMultiAtomAllocsFlatInV(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates; bounds hold in normal builds only")
+	}
+	q := reach.New(predicate.MustParse("role = src"), predicate.MustParse("role = dst"), rex.MustParse("a b{2}"))
+	measure := func(pad int) (uint64, uint64, int) {
+		g := paddedGraph(pad)
+		ca := dist.NewCache(g, 1024)
+		s := dist.NewScratch()
+		var pairs []reach.Pair
+		allocs, bytes := perRun(10, func() { pairs = q.EvalBackendScratchWith(g, ca, s, nil) })
+		return allocs, bytes, len(pairs)
+	}
+	smallA, smallB, smallN := measure(1000)
+	bigA, bigB, bigN := measure(64000)
+	if smallN == 0 || smallN != bigN {
+		t.Fatalf("answers: %d pairs at the small |V|, %d at the big one; want equal and non-zero", smallN, bigN)
+	}
+	if bigA > smallA || bigB > smallB+256 {
+		t.Errorf("per run: %d allocs / %d B at |V|=1,108 but %d allocs / %d B at |V|=64,108; want no growth with |V|", smallA, smallB, bigA, bigB)
+	}
+}
+
+// TestJoinMatchCacheAllocsFlatInV: a cache-backed JoinMatch on the same
+// padded graphs allocates the same count and bytes per run whatever
+// |V|: match sets come from the arena and return to it, and neither
+// refinement nor collection allocates per node.
+func TestJoinMatchCacheAllocsFlatInV(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates; bounds hold in normal builds only")
+	}
+	pq := pattern.New()
+	s0 := pq.AddNode("S", predicate.MustParse("role = src"))
+	d0 := pq.AddNode("D", predicate.MustParse("role = dst"))
+	d1 := pq.AddNode("E", predicate.MustParse("role = dst"))
+	pq.AddEdge(s0, d0, rex.MustParse("a b{2}"))
+	pq.AddEdge(s0, d1, rex.MustParse("_{3}"))
+	measure := func(pad int) (uint64, uint64, int) {
+		g := paddedGraph(pad)
+		opts := pattern.Options{Cache: dist.NewCache(g, 1<<14), Scratch: dist.NewScratch()}
+		var res *pattern.Result
+		allocs, bytes := perRun(10, func() { res = pattern.JoinMatch(g, pq, opts) })
+		return allocs, bytes, res.Size()
+	}
+	smallA, smallB, smallN := measure(1000)
+	bigA, bigB, bigN := measure(64000)
+	if smallN == 0 || smallN != bigN {
+		t.Fatalf("answers: %d pairs at the small |V|, %d at the big one; want equal and non-zero", smallN, bigN)
+	}
+	if bigA > smallA || bigB > smallB+256 {
+		t.Errorf("per run: %d allocs / %d B at |V|=1,108 but %d allocs / %d B at |V|=64,108; want no growth with |V|", smallA, smallB, bigA, bigB)
+	}
 }

@@ -3,6 +3,7 @@ package reach
 import (
 	"context"
 	"iter"
+	"sync"
 
 	"regraph/internal/dist"
 	"regraph/internal/graph"
@@ -132,11 +133,8 @@ func (q Query) StreamBFS(ctx context.Context, g *graph.Graph, s *dist.Scratch, c
 	if len(cand1) == 0 || len(cand2) == 0 {
 		return nil
 	}
-	seed := s.Seed(g.NumNodes())
 	for _, x := range cand1 {
-		seed[x] = true
-		res := dist.ForwardClosureScratch(g, seed, atoms, s)
-		seed[x] = false
+		res, _ := dist.ForwardClosureOf(g, []graph.NodeID{x}, atoms, s)
 		if s.Canceled() {
 			return ctx.Err()
 		}
@@ -168,13 +166,13 @@ func (q Query) StreamBiBFS(ctx context.Context, g *graph.Graph, ca *dist.Cache, 
 
 // StreamBackend evaluates the query against any distance backend
 // (Matrix, TwoHop, Cache — see dist.Backend): single-atom expressions
-// become pairwise backend lookups over the candidate sets; longer
+// become pairwise Backend.Sat asks over the candidate sets; longer
 // expressions fall back to the split closure search, which never needs
 // per-pair distances. A nil backend always uses closures. The context
 // is bound to s for the duration, so every closure and cache-miss
 // search under this call observes cancellation; a cancelled cache-miss
-// distance is never stored (see dist.Cache.DistScratch). Index-backed
-// backends answer O(1)/O(label) lookups regardless of ctx.
+// search is never stored (see dist.Cache). Index-backed backends answer
+// O(1)/O(label) lookups regardless of ctx.
 func (q Query) StreamBackend(ctx context.Context, g *graph.Graph, be dist.Backend, s *dist.Scratch, cs CandidateSource, yield func(Pair) bool) error {
 	atoms, ok := dist.Compile(g, q.Expr)
 	if !ok {
@@ -196,7 +194,7 @@ func (q Query) StreamBackend(ctx context.Context, g *graph.Graph, be dist.Backen
 				return ctx.Err()
 			}
 			for _, y := range cand2 {
-				if a.Sat(be.DistScratch(a.Color, x, y, s)) {
+				if be.Sat(a, x, y, s) {
 					if !yield(Pair{x, y}) {
 						return nil
 					}
@@ -208,51 +206,59 @@ func (q Query) StreamBackend(ctx context.Context, g *graph.Graph, be dist.Backen
 		}
 		return nil
 	}
-	n := g.NumNodes()
 	mid := len(atoms) / 2
-	// Backward closures of the suffix per destination are retained (in
-	// recycled bitsets); the forward closure of the prefix is then
-	// streamed one source at a time and intersected immediately, so only
-	// one forward buffer is ever live.
-	bwd := takeBitsetList(len(cand2))
-	defer putBitsetList(bwd)
-	recycleAll := func(upto int) {
-		for _, b := range (*bwd)[:upto] {
-			s.Recycle(b)
-		}
-	}
-	seed := s.Seed(n)
-	for j, y := range cand2 {
-		seed[y] = true
-		res := dist.BackwardClosureScratch(g, seed, atoms[mid:], s)
-		seed[y] = false
+	// The backward closure of the suffix from each destination is kept
+	// as a member list, all of them back to back in one pooled buffer;
+	// the forward closure of the prefix is then streamed one source at
+	// a time, and a pair is an answer when some member of the
+	// destination's list is in the source's forward bitset.
+	bwd := memberListPool.Get().(*memberLists)
+	defer memberListPool.Put(bwd)
+	bwd.ids, bwd.end = bwd.ids[:0], bwd.end[:0]
+	for _, y := range cand2 {
+		_, members := dist.BackwardClosureOf(g, []graph.NodeID{y}, atoms[mid:], s)
 		if s.Canceled() {
-			recycleAll(j)
 			return ctx.Err()
 		}
-		b := s.Bitset(n)
-		copy(b, res)
-		(*bwd)[j] = b
+		bwd.ids = append(bwd.ids, members...)
+		bwd.end = append(bwd.end, len(bwd.ids))
 	}
 	for _, x := range cand1 {
-		seed[x] = true
-		fwd := dist.ForwardClosureScratch(g, seed, atoms[:mid], s)
-		seed[x] = false
+		fwd, _ := dist.ForwardClosureOf(g, []graph.NodeID{x}, atoms[:mid], s)
 		if s.Canceled() {
-			recycleAll(len(cand2))
 			return ctx.Err()
 		}
+		start := 0
 		for j, y := range cand2 {
-			if intersects(fwd, (*bwd)[j]) {
+			if meets(fwd, bwd.ids[start:bwd.end[j]]) {
 				if !yield(Pair{x, y}) {
-					recycleAll(len(cand2))
 					return nil
 				}
 			}
+			start = bwd.end[j]
 		}
 	}
-	recycleAll(len(cand2))
 	return nil
+}
+
+// memberLists holds node sets back to back: set j is ids[end[j-1]:end[j]]
+// (from 0 for j = 0).
+type memberLists struct {
+	ids []graph.NodeID
+	end []int
+}
+
+// memberListPool recycles StreamBackend's per-destination closures.
+var memberListPool = sync.Pool{New: func() any { return new(memberLists) }}
+
+// meets reports whether some member is set in bits.
+func meets(bits []bool, members []graph.NodeID) bool {
+	for _, v := range members {
+		if bits[v] {
+			return true
+		}
+	}
+	return false
 }
 
 // PairsMatrix adapts StreamMatrix to a range-able iterator:

@@ -25,6 +25,12 @@ func echoServer(t *testing.T, script *faultinject.Script, hits *atomic.Int64) (u
 	fl = faultinject.Wrap(ln, script)
 	srv := &http.Server{Handler: http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		hits.Add(1)
+		// Responses go out while the request body is still arriving, as
+		// in the real server: without full duplex, Go's HTTP/1 server may
+		// cut the body off after the first flush.
+		if err := http.NewResponseController(w).EnableFullDuplex(); err != nil {
+			t.Errorf("EnableFullDuplex: %v", err)
+		}
 		dec := NewDecoder(r.Body)
 		enc := NewEncoder(w)
 		for {
