@@ -5,7 +5,7 @@
 // cmd/experiments; here the aggregate wall time is what testing.B records.
 //
 // Dataset scale is controlled by REGRAPH_BENCH_SCALE (default 0.25 of the
-// paper's sizes — every curve's shape is preserved; see EXPERIMENTS.md)
+// paper's sizes — every curve's shape is preserved; see DESIGN.md §4)
 // and the per-point query count by REGRAPH_BENCH_QUERIES.
 package regraph_test
 

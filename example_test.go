@@ -19,7 +19,7 @@ func Example() {
 		To:   regraph.MustPredicate("job = doctor"),
 		Expr: regraph.MustRegex("fa{2} fn"),
 	}
-	for _, p := range q.EvalMatrix(g, mx) {
+	for _, p := range q.EvalBackend(g, mx) {
 		fmt.Println(g.Node(p.From).Name, "->", g.Node(p.To).Name)
 	}
 	// Output:
@@ -242,7 +242,7 @@ func ExampleNewCandidateIndex() {
 		Expr: regraph.MustRegex("fa{2} fn"),
 	}
 	mx := regraph.NewMatrix(g)
-	fmt.Printf("%d pairs\n", len(q.EvalMatrixWith(g, mx, ix)))
+	fmt.Printf("%d pairs\n", len(q.EvalBackendScratchWith(g, mx, regraph.NewScratch(), ix)))
 	// Output:
 	// B1
 	// B2

@@ -26,7 +26,7 @@ func main() {
 		Expr: regraph.MustRegex("fa{2} fn"),
 	}
 	fmt.Println("Q1:", q1)
-	for _, p := range q1.EvalMatrix(g, mx) {
+	for _, p := range q1.EvalBackend(g, mx) {
 		fmt.Printf("  %s -> %s\n", g.Node(p.From).Name, g.Node(p.To).Name)
 	}
 
@@ -44,13 +44,13 @@ func main() {
 	q2.AddEdge(c, d, regraph.MustRegex("fa{2} sa{2}"))
 
 	fmt.Println("\nQ2 (pattern, revised graph simulation):")
-	res := regraph.JoinMatch(g, q2, regraph.EvalOptions{Matrix: mx})
+	res := regraph.JoinMatch(g, q2, regraph.EvalOptions{Backend: mx})
 	fmt.Print(res.String(g))
 
 	// The same answer without any precomputed index (bi-directional
 	// runtime search), and via the split-based algorithm.
 	ca := regraph.NewCache(g, 1024)
-	res2 := regraph.SplitMatch(g, q2, regraph.EvalOptions{Cache: ca})
+	res2 := regraph.SplitMatch(g, q2, regraph.EvalOptions{Backend: ca})
 	fmt.Printf("\nSplitMatch (cache mode) agrees: %v\n", res.Equal(res2))
 
 	// Why C1 is not a match for C: there is a path C1 -fa-> C2 -fa-> C1

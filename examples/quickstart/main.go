@@ -47,7 +47,7 @@ func main() {
 	pq.AddEdge(stud, eng, regraph.MustRegex("w+"))
 
 	mx := regraph.NewMatrix(g) // precomputed index, shared across queries
-	res := regraph.JoinMatch(g, pq, regraph.EvalOptions{Matrix: mx})
+	res := regraph.JoinMatch(g, pq, regraph.EvalOptions{Backend: mx})
 	fmt.Println("pattern matches:")
 	fmt.Print(res.String(g))
 

@@ -30,7 +30,7 @@ func main() {
 	q.AddEdge(a, h, regraph.MustRegex("ic{2} dc+"))
 	q.AddEdge(h, d, regraph.MustRegex("ic{2} dc+"))
 
-	res := regraph.JoinMatch(g, q, regraph.EvalOptions{Matrix: mx})
+	res := regraph.JoinMatch(g, q, regraph.EvalOptions{Backend: mx})
 	if res.Empty() {
 		fmt.Println("no organizations satisfy the pattern")
 		return
@@ -55,10 +55,10 @@ func main() {
 		To:   regraph.MustPredicate("gn = Hamas"),
 		Expr: regraph.MustRegex("ic{2} dc+"),
 	}
-	dm := rq.EvalMatrix(g, mx)
+	dm := rq.EvalBackend(g, mx)
 	bfs := rq.EvalBFS(g)
-	bi := rq.EvalBiBFS(g, regraph.NewCache(g, 4096))
-	fmt.Printf("\nRQ answers: matrix=%d, bfs=%d, bi-bfs=%d pairs\n", len(dm), len(bfs), len(bi))
+	cached := rq.EvalBackend(g, regraph.NewCache(g, 4096))
+	fmt.Printf("\nRQ answers: matrix=%d, bfs=%d, cache=%d pairs\n", len(dm), len(bfs), len(cached))
 
 	// What a type-blind query would claim: replace the expressions by
 	// plain "within k hops" (bounded simulation). Every regex match
@@ -70,7 +70,7 @@ func main() {
 	d2 := blind.AddNode("D", regraph.MustPredicate(`tt = "Private Citizens & Property"`))
 	blind.AddEdge(a2, h2, regraph.MustRegex("_+"))
 	blind.AddEdge(h2, d2, regraph.MustRegex("_+"))
-	blindRes := regraph.JoinMatch(g, blind, regraph.EvalOptions{Matrix: mx})
+	blindRes := regraph.JoinMatch(g, blind, regraph.EvalOptions{Backend: mx})
 	fmt.Printf("type-blind pattern matches %d source organizations (regex-aware: %d)\n",
 		len(blindRes.MatchSet(a2)), len(res.MatchSet(aIdx)))
 }

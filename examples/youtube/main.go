@@ -34,7 +34,7 @@ func main() {
 	q.AddEdge(dave, hit, regraph.MustRegex("fr fc"))
 
 	t0 = time.Now()
-	res := regraph.JoinMatch(g, q, regraph.EvalOptions{Matrix: mx})
+	res := regraph.JoinMatch(g, q, regraph.EvalOptions{Backend: mx})
 	fmt.Printf("pattern evaluated in %v; %d total matched pairs\n",
 		time.Since(t0).Round(time.Millisecond), res.Size())
 	for _, u := range []int{film, dave, hit} {
@@ -56,8 +56,8 @@ func main() {
 	fmt.Printf("\nminPQs: redundant pattern size %d -> %d (equivalent: %v)\n",
 		redundant.Size(), min.Size(), regraph.PQEquivalent(redundant, min))
 
-	tRed := timeIt(func() { regraph.JoinMatch(g, redundant, regraph.EvalOptions{Matrix: mx}) })
-	tMin := timeIt(func() { regraph.JoinMatch(g, min, regraph.EvalOptions{Matrix: mx}) })
+	tRed := timeIt(func() { regraph.JoinMatch(g, redundant, regraph.EvalOptions{Backend: mx}) })
+	tMin := timeIt(func() { regraph.JoinMatch(g, min, regraph.EvalOptions{Backend: mx}) })
 	fmt.Printf("evaluation: %.3fs unminimized vs %.3fs minimized\n", tRed, tMin)
 
 	// Matrix-free evaluation with the LRU distance cache (for graphs too
@@ -68,7 +68,7 @@ func main() {
 		To:   regraph.MustPredicate("uid = Davedays"),
 		Expr: regraph.MustRegex("fr{5}"),
 	}
-	pairs := rq.EvalBiBFS(g, ca)
+	pairs := rq.EvalBackend(g, ca)
 	hits, misses := ca.Stats()
 	fmt.Printf("\ncache-mode RQ: %d pairs (cache: %d hits, %d misses)\n", len(pairs), hits, misses)
 }

@@ -139,8 +139,8 @@ func TestMatchIsUpperBound(t *testing.T) {
 		g := randomAttrGraph(r, 2+r.Intn(10), 1+r.Intn(25))
 		q := randomPattern(r)
 		mx := dist.NewMatrix(g)
-		truth := baseline.ResultNodePairs(q, pattern.JoinMatch(g, q, pattern.Options{Matrix: mx}))
-		found := baseline.ResultNodePairs(q, baseline.Match(g, q, pattern.Options{Matrix: mx}))
+		truth := baseline.ResultNodePairs(q, pattern.JoinMatch(g, q, pattern.Options{Backend: mx}))
+		found := baseline.ResultNodePairs(q, baseline.Match(g, q, pattern.Options{Backend: mx}))
 		for m := range truth {
 			if !found[m] {
 				t.Logf("seed %d: true match %v missed by bounded simulation\n%v", seed, m, q)

@@ -215,7 +215,7 @@ func Relax(q *pattern.Query) *pattern.Query {
 
 // Match evaluates the bounded-simulation baseline: the relaxed query under
 // the same simulation machinery (JoinMatch). With opts carrying a distance
-// matrix this is the paper's MatchM configuration.
+// matrix as its Backend this is the paper's MatchM configuration.
 func Match(g *graph.Graph, q *pattern.Query, opts pattern.Options) *pattern.Result {
 	return pattern.JoinMatch(g, Relax(q), opts)
 }

@@ -85,9 +85,9 @@ func AblationTopoOrder(e *Env) *Table {
 		var topo, flat float64
 		for k := 0; k < e.Cfg.QueriesPerPoint; k++ {
 			q := gen.Query(g, gen.Spec{Nodes: vp, Edges: vp + 3, Preds: 2, Bound: 3, Colors: 2}, r)
-			topo += timeIt(func() { pattern.JoinMatch(g, q, pattern.Options{Matrix: mx}) })
+			topo += timeIt(func() { pattern.JoinMatch(g, q, pattern.Options{Backend: mx}) })
 			flat += timeIt(func() {
-				pattern.JoinMatch(g, q, pattern.Options{Matrix: mx, DisableTopoOrder: true})
+				pattern.JoinMatch(g, q, pattern.Options{Backend: mx, DisableTopoOrder: true})
 			})
 		}
 		n := float64(e.Cfg.QueriesPerPoint)
@@ -122,14 +122,14 @@ func AblationFilter(e *Env) *Table {
 		plain := dist.NewCache(g, 1)
 		noFilter := timeIt(func() {
 			for _, q := range qs {
-				q.EvalBiBFS(g, plain)
+				q.EvalBackend(g, plain)
 			}
 		})
 		filtered := dist.NewCache(g, 1)
 		filtered.SetFilter(ix)
 		withFilter := timeIt(func() {
 			for _, q := range qs {
-				q.EvalBiBFS(g, filtered)
+				q.EvalBackend(g, filtered)
 			}
 		})
 		t.Add(w.name, map[string]float64{
@@ -239,7 +239,7 @@ func AblationCache(e *Env) *Table {
 		elapsed := timeIt(func() {
 			for round := 0; round < 4; round++ {
 				for _, q := range qpool {
-					q.EvalBiBFS(g, ca)
+					q.EvalBackend(g, ca)
 				}
 			}
 		})

@@ -6,8 +6,7 @@
 //
 // Absolute numbers depend on the host (the paper used a 2.3 GHz Athlon
 // 64×2); what must reproduce is the *shape*: which algorithm wins, by
-// roughly what factor, and where crossovers fall. EXPERIMENTS.md records
-// paper-vs-measured shape for every driver here.
+// roughly what factor, and where crossovers fall (DESIGN.md §4).
 package bench
 
 import (

@@ -13,7 +13,7 @@ import (
 // EngineBatch measures what the resident engine buys on a batch RQ
 // workload (the ROADMAP's multi-user serving scenario, beyond the
 // paper's single-query experiments): the same generated queries are
-// evaluated by a serial EvalBiBFS loop, by an engine bounded to one
+// evaluated by a serial cache-backed EvalBackend loop, by an engine bounded to one
 // worker (isolating the scratch-arena reuse from the parallelism), and
 // by an engine with one worker per core. Every configuration gets a
 // fresh LRU cache so none inherits the others' warm distances.
@@ -41,7 +41,7 @@ func EngineBatch(e *Env) *Table {
 		caSerial := dist.NewCache(g, e.Cfg.CacheSize)
 		serial := timeIt(func() {
 			for _, q := range qs {
-				q.EvalBiBFS(g, caSerial)
+				q.EvalBackend(g, caSerial)
 			}
 		})
 		e1 := engine.MustNew(g, engine.Options{Workers: 1, CacheSize: e.Cfg.CacheSize})

@@ -53,10 +53,10 @@ func Fig9a(e *Env) *Table {
 		Series: []string{"pairs"},
 	}
 	yt, ytMx, _ := e.YouTube()
-	resQ1 := pattern.JoinMatch(yt, youtubeQ1(), pattern.Options{Matrix: ytMx})
+	resQ1 := pattern.JoinMatch(yt, youtubeQ1(), pattern.Options{Backend: ytMx})
 	addEdgeCounts(t, "Q1", youtubeQ1(), resQ1)
 	tg, tMx, _ := e.Terror()
-	resQ2 := pattern.JoinMatch(tg, terrorQ2(), pattern.Options{Matrix: tMx})
+	resQ2 := pattern.JoinMatch(tg, terrorQ2(), pattern.Options{Backend: tMx})
 	addEdgeCounts(t, "Q2", terrorQ2(), resQ2)
 	if resQ1.Empty() {
 		t.Notes = append(t.Notes, "Q1 had no matches on this synthetic instance")
@@ -117,10 +117,10 @@ func Fig9b(e *Env) *Table {
 		var fJoin, fMatch, fSub float64
 		qs := e.exp1Queries(pt.vp, pt.ep, 1)
 		for _, q := range qs {
-			truthRes := pattern.JoinMatch(g, q, pattern.Options{Matrix: mx})
+			truthRes := pattern.JoinMatch(g, q, pattern.Options{Backend: mx})
 			truth := baseline.ResultNodePairs(q, truthRes)
 			fJoin += metrics.Evaluate(truth, truth).FMeasure
-			found := baseline.ResultNodePairs(q, baseline.Match(g, q, pattern.Options{Matrix: mx}))
+			found := baseline.ResultNodePairs(q, baseline.Match(g, q, pattern.Options{Backend: mx}))
 			fMatch += metrics.Evaluate(found, truth).FMeasure
 			ms, _ := baseline.SubIso(g, q, baseline.SubIsoOptions{MaxSteps: 2_000_000})
 			fSub += metrics.Evaluate(baseline.NodePairs(q, ms), truth).FMeasure
@@ -149,9 +149,9 @@ func Fig9c(e *Env) *Table {
 		sums := map[string]float64{}
 		qs := e.exp1Queries(pt.vp, pt.ep, 2)
 		for _, q := range qs {
-			sums["JoinMatchM"] += timeIt(func() { pattern.JoinMatch(g, q, pattern.Options{Matrix: mx}) })
-			sums["SplitMatchM"] += timeIt(func() { pattern.SplitMatch(g, q, pattern.Options{Matrix: mx}) })
-			sums["MatchM"] += timeIt(func() { baseline.Match(g, q, pattern.Options{Matrix: mx}) })
+			sums["JoinMatchM"] += timeIt(func() { pattern.JoinMatch(g, q, pattern.Options{Backend: mx}) })
+			sums["SplitMatchM"] += timeIt(func() { pattern.SplitMatch(g, q, pattern.Options{Backend: mx}) })
+			sums["MatchM"] += timeIt(func() { baseline.Match(g, q, pattern.Options{Backend: mx}) })
 			sums["SubIso"] += timeIt(func() {
 				baseline.SubIso(g, q, baseline.SubIsoOptions{MaxSteps: 2_000_000})
 			})

@@ -71,8 +71,8 @@ func Fig10a(e *Env) *Table {
 		for k := 0; k < e.Cfg.QueriesPerPoint; k++ {
 			q := e.redundantQuery(pt.vp, pt.ep, int64(i*100+k))
 			m := contain.Minimize(q)
-			normal += timeIt(func() { pattern.JoinMatch(g, q, pattern.Options{Matrix: mx}) })
-			minimized += timeIt(func() { pattern.JoinMatch(g, m, pattern.Options{Matrix: mx}) })
+			normal += timeIt(func() { pattern.JoinMatch(g, q, pattern.Options{Backend: mx}) })
+			minimized += timeIt(func() { pattern.JoinMatch(g, m, pattern.Options{Backend: mx}) })
 			minSize += float64(m.Size())
 		}
 		n := float64(e.Cfg.QueriesPerPoint)
@@ -105,9 +105,9 @@ func Fig10b(e *Env) *Table {
 		var dm, bfs, bibfs float64
 		for k := 0; k < e.Cfg.QueriesPerPoint; k++ {
 			q := gen.RQ(g, 3, 5, colors, r)
-			dm += timeIt(func() { q.EvalMatrix(g, mx) })
+			dm += timeIt(func() { q.EvalBackend(g, mx) })
 			bfs += timeIt(func() { q.EvalBFS(g) })
-			bibfs += timeIt(func() { q.EvalBiBFS(g, ca) })
+			bibfs += timeIt(func() { q.EvalBackend(g, ca) })
 		}
 		n := float64(e.Cfg.QueriesPerPoint)
 		t.Add(fmt.Sprint(colors), map[string]float64{

@@ -16,10 +16,10 @@ var pqSeries = []string{"JoinMatchM", "JoinMatchC", "SplitMatchM", "SplitMatchC"
 // runPQConfigs times the four configurations on one query, accumulating
 // into sums.
 func runPQConfigs(g *graph.Graph, mx *dist.Matrix, ca *dist.Cache, q *pattern.Query, sums map[string]float64) {
-	sums["JoinMatchM"] += timeIt(func() { pattern.JoinMatch(g, q, pattern.Options{Matrix: mx}) })
-	sums["JoinMatchC"] += timeIt(func() { pattern.JoinMatch(g, q, pattern.Options{Cache: ca}) })
-	sums["SplitMatchM"] += timeIt(func() { pattern.SplitMatch(g, q, pattern.Options{Matrix: mx}) })
-	sums["SplitMatchC"] += timeIt(func() { pattern.SplitMatch(g, q, pattern.Options{Cache: ca}) })
+	sums["JoinMatchM"] += timeIt(func() { pattern.JoinMatch(g, q, pattern.Options{Backend: mx}) })
+	sums["JoinMatchC"] += timeIt(func() { pattern.JoinMatch(g, q, pattern.Options{Backend: ca}) })
+	sums["SplitMatchM"] += timeIt(func() { pattern.SplitMatch(g, q, pattern.Options{Backend: mx}) })
+	sums["SplitMatchC"] += timeIt(func() { pattern.SplitMatch(g, q, pattern.Options{Backend: ca}) })
 }
 
 // ytSweep runs one Fig-11 style sweep on the YouTube graph.
@@ -227,7 +227,7 @@ func Fig12f(e *Env) *Table {
 			})
 			subM += float64(len(baseline.NodePairs(q, ms)))
 			var res *pattern.Result
-			splitT += timeIt(func() { res = pattern.SplitMatch(g, q, pattern.Options{Cache: ca}) })
+			splitT += timeIt(func() { res = pattern.SplitMatch(g, q, pattern.Options{Backend: ca}) })
 			splitM += float64(len(baseline.ResultNodePairs(q, res)))
 		}
 		n := float64(e.Cfg.QueriesPerPoint)

@@ -178,11 +178,11 @@ func TestContainmentIsSemanticallySound(t *testing.T) {
 		for trial := 0; trial < 3; trial++ {
 			g := randomAttrGraph(r, 2+r.Intn(8), 1+r.Intn(18))
 			mx := dist.NewMatrix(g)
-			r1 := pattern.JoinMatch(g, q1, pattern.Options{Matrix: mx})
+			r1 := pattern.JoinMatch(g, q1, pattern.Options{Backend: mx})
 			if r1.Empty() {
 				continue
 			}
-			r2 := pattern.JoinMatch(g, q2, pattern.Options{Matrix: mx})
+			r2 := pattern.JoinMatch(g, q2, pattern.Options{Backend: mx})
 			for ei := 0; ei < q1.NumEdges(); ei++ {
 				pairs2 := map[reach.Pair]bool{}
 				for _, p := range r2.EdgePairs(lambda[ei]) {
@@ -316,8 +316,8 @@ func TestMinimizePreservesAnswers(t *testing.T) {
 		m := contain.Minimize(q)
 		g := randomAttrGraph(r, 2+r.Intn(8), 1+r.Intn(16))
 		mx := dist.NewMatrix(g)
-		rq := pattern.JoinMatch(g, q, pattern.Options{Matrix: mx})
-		rm := pattern.JoinMatch(g, m, pattern.Options{Matrix: mx})
+		rq := pattern.JoinMatch(g, q, pattern.Options{Backend: mx})
+		rm := pattern.JoinMatch(g, m, pattern.Options{Backend: mx})
 		if rq.Empty() != rm.Empty() {
 			t.Logf("seed %d: emptiness differs (q %v, m %v)\nq %v\nm %v", seed, rq.Empty(), rm.Empty(), q, m)
 			return false

@@ -1,10 +1,6 @@
 package dist
 
-import (
-	"context"
-
-	"regraph/internal/graph"
-)
+import "regraph/internal/graph"
 
 // Backend is the engine-facing distance oracle: the one primitive every
 // evaluation method reduces to. Sat answers the evaluators' question —
@@ -44,16 +40,6 @@ var (
 	_ Backend = (*Cache)(nil)
 	_ Backend = (*TwoHop)(nil)
 )
-
-// DistCtx is the matrix's ctx-aware face, for symmetry with
-// Cache.DistCtx: a cell load cannot be abandoned, so the error is ctx's
-// error only when it was already cancelled on entry.
-func (mx *Matrix) DistCtx(ctx context.Context, c graph.ColorID, v1, v2 graph.NodeID, s *Scratch) (int32, error) {
-	if ctx != nil && ctx.Err() != nil {
-		return graph.Unreachable, ctx.Err()
-	}
-	return mx.DistScratch(c, v1, v2, s), nil
-}
 
 // MatrixBytes predicts the distance-matrix footprint for a graph with
 // the given node and color counts: (m+1)·|V|² bytes, one per cell. This

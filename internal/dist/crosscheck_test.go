@@ -1,76 +1,92 @@
 // Black-box cross-checks of the whole evaluation stack over the dist
-// substrate: the three RQ evaluation methods must return identical pair
-// sets, and JoinMatch must agree with SplitMatch under every
-// configuration, on seeded synthetic graphs with generated workloads.
+// substrate: every backend must return EvalBFS's RQ answer in order, and
+// JoinMatch and SplitMatch must agree with JoinMatch without a backend
+// on every backend, on seeded synthetic graphs with generated workloads.
 package dist_test
 
 import (
-	"fmt"
 	"math/rand"
-	"sort"
+	"reflect"
 	"testing"
 
 	"regraph/internal/dist"
 	"regraph/internal/gen"
 	"regraph/internal/graph"
 	"regraph/internal/pattern"
-	"regraph/internal/reach"
 )
 
 func newRand(seed int64) *rand.Rand { return rand.New(rand.NewSource(seed)) }
 
-func pairSet(ps []reach.Pair) string {
-	ss := make([]string, len(ps))
-	for i, p := range ps {
-		ss[i] = fmt.Sprintf("%d->%d", p.From, p.To)
+// backendTable is the backend input of the cross-checks, none included.
+func backendTable(g *graph.Graph) []struct {
+	name string
+	be   dist.Backend
+} {
+	return []struct {
+		name string
+		be   dist.Backend
+	}{
+		{"none", nil},
+		{"matrix", dist.NewMatrix(g)},
+		{"cache", dist.NewCache(g, 256)},
+		{"twohop", dist.NewTwoHop(g)},
 	}
-	sort.Strings(ss)
-	return fmt.Sprint(ss)
 }
 
-// TestRQEvaluatorsAgreeOnSynthetic: EvalMatrix, EvalBFS and EvalBiBFS on
-// generated RQ workloads over seeded synthetic graphs.
+// chainGraph is a 300-node cycle whose edges take every color in turn:
+// its wildcard distances pass the matrix's 255 saturation point.
+func chainGraph() *graph.Graph {
+	g := gen.Synthetic(1, 300, 0, 3, gen.DefaultColors)
+	for i := 0; i < 300; i++ {
+		g.AddEdge(graph.NodeID(i), graph.NodeID((i+1)%300), gen.DefaultColors[i%len(gen.DefaultColors)])
+	}
+	return g
+}
+
+// TestRQEvaluatorsAgreeOnSynthetic: every backend returns EvalBFS's
+// answer, pair for pair and in order, on generated RQ workloads over
+// seeded synthetic graphs and over a chain long enough to saturate
+// matrix cells.
 func TestRQEvaluatorsAgreeOnSynthetic(t *testing.T) {
-	for seed := int64(1); seed <= 6; seed++ {
+	for seed := int64(1); seed <= 7; seed++ {
 		g := gen.Synthetic(seed, 150, 500, 3, gen.DefaultColors)
-		mx := dist.NewMatrix(g)
-		ca := dist.NewCache(g, 256)
+		if seed == 7 {
+			g = chainGraph()
+		}
+		backends := backendTable(g)
 		rng := newRand(seed)
 		for k := 0; k < 6; k++ {
 			q := gen.RQ(g, 2, 4, 1+k%3, rng)
-			a := pairSet(q.EvalMatrix(g, mx))
-			b := pairSet(q.EvalBFS(g))
-			c := pairSet(q.EvalBiBFS(g, ca))
-			if a != b || b != c {
-				t.Fatalf("seed %d query %v disagree:\n matrix=%s\n bfs=%s\n bibfs=%s", seed, q, a, b, c)
+			want := q.EvalBFS(g)
+			for _, b := range backends {
+				if got := q.EvalBackend(g, b.be); !reflect.DeepEqual(got, want) {
+					t.Fatalf("seed %d query %v: %s = %v, EvalBFS = %v", seed, q, b.name, got, want)
+				}
 			}
 		}
 	}
 }
 
-// TestJoinSplitAgreeOnSynthetic: JoinMatch ≡ SplitMatch on generated
-// pattern queries, in matrix, cache and plain-search configurations.
+// TestJoinSplitAgreeOnSynthetic: JoinMatch and SplitMatch on every
+// backend equal JoinMatch without one, on generated pattern queries.
 func TestJoinSplitAgreeOnSynthetic(t *testing.T) {
-	for seed := int64(1); seed <= 4; seed++ {
+	for seed := int64(1); seed <= 5; seed++ {
 		g := gen.Synthetic(seed, 120, 400, 3, gen.DefaultColors)
-		mx := dist.NewMatrix(g)
-		ca := dist.NewCache(g, 256)
+		if seed == 5 {
+			g = chainGraph()
+		}
+		backends := backendTable(g)
 		rng := newRand(seed * 977)
 		for k := 0; k < 4; k++ {
 			q := gen.Query(g, gen.Spec{Nodes: 3 + k, Edges: 4 + k, Preds: 2, Bound: 3, Colors: 2}, rng)
-			for _, cfg := range []struct {
-				name string
-				opts pattern.Options
-			}{
-				{"matrix", pattern.Options{Matrix: mx}},
-				{"cache", pattern.Options{Cache: ca}},
-				{"plain", pattern.Options{}},
-			} {
-				join := pattern.JoinMatch(g, q, cfg.opts)
-				split := pattern.SplitMatch(g, q, cfg.opts)
-				if !join.Equal(split) {
-					t.Fatalf("seed %d %s: JoinMatch != SplitMatch\npattern %v\njoin  %s\nsplit %s",
-						seed, cfg.name, q, join.String(g), split.String(g))
+			want := pattern.JoinMatch(g, q, pattern.Options{})
+			for _, b := range backends {
+				opts := pattern.Options{Backend: b.be}
+				join := pattern.JoinMatch(g, q, opts)
+				split := pattern.SplitMatch(g, q, opts)
+				if !join.Equal(want) || !split.Equal(want) {
+					t.Fatalf("seed %d %s: disagree\npattern %v\njoin  %s\nsplit %s\nwant  %s",
+						seed, b.name, q, join.String(g), split.String(g), want.String(g))
 				}
 			}
 		}

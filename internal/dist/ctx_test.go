@@ -28,18 +28,23 @@ func ctxTestGraph() (*graph.Graph, []CAtom) {
 	return g, atoms
 }
 
-// TestClosureCtxLive: with a live context the ctx variants agree exactly
-// with the plain closures.
+// TestClosureCtxLive: with a live context bound to the arena, the
+// closures agree exactly with their unbound forms and the arena does
+// not report a cancellation.
 func TestClosureCtxLive(t *testing.T) {
 	g, atoms := ctxTestGraph()
 	s := NewScratch()
 	src := make([]bool, g.NumNodes())
 	src[0], src[17] = true, true
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	unbind := s.BindContext(ctx)
+	defer unbind()
 
 	want := ForwardClosure(g, src, atoms)
-	got, err := ForwardClosureCtx(context.Background(), g, src, atoms, s)
-	if err != nil {
-		t.Fatal(err)
+	got := ForwardClosureScratch(g, src, atoms, s)
+	if s.Canceled() {
+		t.Fatal("live context reported as cancelled")
 	}
 	for i := range want {
 		if want[i] != got[i] {
@@ -47,9 +52,9 @@ func TestClosureCtxLive(t *testing.T) {
 		}
 	}
 	wantB := BackwardClosure(g, src, atoms)
-	gotB, err := BackwardClosureCtx(context.Background(), g, src, atoms, s)
-	if err != nil {
-		t.Fatal(err)
+	gotB := BackwardClosureScratch(g, src, atoms, s)
+	if s.Canceled() {
+		t.Fatal("live context reported as cancelled")
 	}
 	for i := range wantB {
 		if wantB[i] != gotB[i] {
@@ -58,8 +63,9 @@ func TestClosureCtxLive(t *testing.T) {
 	}
 }
 
-// TestClosureCtxCancelled: a dead context aborts the search with its
-// error, and the arena is left unbound (a later plain call works).
+// TestClosureCtxCancelled: with a dead context bound, every search
+// primitive leaves the arena reporting Canceled, and once unbound the
+// arena is clean (a later plain call works).
 func TestClosureCtxCancelled(t *testing.T) {
 	g, atoms := ctxTestGraph()
 	s := NewScratch()
@@ -68,14 +74,17 @@ func TestClosureCtxCancelled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 
-	if _, err := ForwardClosureCtx(ctx, g, src, atoms, s); err != context.Canceled {
-		t.Fatalf("forward: err = %v, want context.Canceled", err)
-	}
-	if _, err := BackwardClosureCtx(ctx, g, src, atoms, s); err != context.Canceled {
-		t.Fatalf("backward: err = %v, want context.Canceled", err)
-	}
-	if _, err := BiDistCtx(ctx, g, graph.AnyColor, 0, 5, s); err != context.Canceled {
-		t.Fatalf("bidist: err = %v, want context.Canceled", err)
+	for name, search := range map[string]func(){
+		"forward":  func() { ForwardClosureScratch(g, src, atoms, s) },
+		"backward": func() { BackwardClosureScratch(g, src, atoms, s) },
+		"bidist":   func() { BiDistScratch(g, graph.AnyColor, 0, 5, s) },
+	} {
+		unbind := s.BindContext(ctx)
+		search()
+		if !s.Canceled() {
+			t.Fatalf("%s: arena not cancelled under a dead context", name)
+		}
+		unbind()
 	}
 	// The binding must not leak into subsequent plain calls on the arena.
 	if s.Canceled() {
@@ -90,9 +99,9 @@ func TestClosureCtxCancelled(t *testing.T) {
 	}
 }
 
-// TestCacheDistCtxNoPollution: a cancelled miss must not store a
-// (possibly wrong) distance; the next lookup recomputes and agrees with
-// the uncached search.
+// TestCacheDistCtxNoPollution: a miss searched under a dead context
+// must not store a (possibly wrong) distance; the next lookup
+// recomputes and agrees with the uncached search.
 func TestCacheDistCtxNoPollution(t *testing.T) {
 	g, _ := ctxTestGraph()
 	ca := NewCache(g, 64)
@@ -100,22 +109,28 @@ func TestCacheDistCtxNoPollution(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 
-	if _, err := ca.DistCtx(ctx, graph.AnyColor, 3, 250, s); err != context.Canceled {
-		t.Fatalf("err = %v, want context.Canceled", err)
+	unbind := s.BindContext(ctx)
+	ca.DistScratch(graph.AnyColor, 3, 250, s)
+	ca.Sat(CAtom{Color: graph.AnyColor, Max: 2}, 3, 250, s)
+	if !s.Canceled() {
+		t.Fatal("arena not cancelled under a dead context")
 	}
-	if hits, misses := ca.Stats(); hits != 0 || misses != 1 {
-		t.Fatalf("stats after cancelled miss: hits=%d misses=%d", hits, misses)
+	unbind()
+	if hits, misses := ca.Stats(); hits != 0 || misses != 2 {
+		t.Fatalf("stats after cancelled misses: hits=%d misses=%d", hits, misses)
 	}
 	want := BiDist(g, graph.AnyColor, 3, 250)
-	got, err := ca.DistCtx(context.Background(), graph.AnyColor, 3, 250, s)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != want {
+	if got := ca.DistScratch(graph.AnyColor, 3, 250, s); got != want {
 		t.Fatalf("post-cancel dist = %d, want %d", got, want)
+	}
+	if hits, misses := ca.Stats(); hits != 0 || misses != 3 {
+		t.Fatalf("stats after the live miss: hits=%d misses=%d", hits, misses)
 	}
 	// And the good value is now cached.
 	if d := ca.Dist(graph.AnyColor, 3, 250); d != want {
 		t.Fatalf("cached dist = %d, want %d", d, want)
+	}
+	if hits, _ := ca.Stats(); hits != 1 {
+		t.Fatalf("cached lookup missed: hits=%d", hits)
 	}
 }

@@ -46,14 +46,6 @@ func (a CAtom) Sat(d int32) bool {
 	return a.Max == rex.Unbounded || int(d) <= a.Max
 }
 
-// SatMatrix is Sat against the precomputed distance matrix, decided by a
-// single O(1) cell load: a saturated cell still proves "reachable" and
-// "beyond any bound below 255". Only a bound of 255 or more over a
-// saturated cell needs the exact distance. See Matrix.Sat.
-func (a CAtom) SatMatrix(mx *Matrix, v1, v2 graph.NodeID) bool {
-	return mx.Sat(a, v1, v2, nil)
-}
-
 // Compile resolves an expression's atoms against a graph's interned
 // colors. ok is false when the expression mentions a concrete color the
 // graph does not have (its language is then empty over this graph) or
@@ -242,44 +234,6 @@ func BiReach(g *graph.Graph, atoms []CAtom, v1, v2 graph.NodeID) bool {
 		if bwd[v] {
 			return true
 		}
-	}
-	return false
-}
-
-// ReachMatrix is BiReach against the precomputed matrix: the reachable
-// set is advanced one atom at a time with O(1) pair lookups, finishing
-// with a membership test against v2.
-func ReachMatrix(g *graph.Graph, mx *Matrix, atoms []CAtom, v1, v2 graph.NodeID) bool {
-	if len(atoms) == 0 {
-		return v1 == v2
-	}
-	if len(atoms) == 1 {
-		return atoms[0].SatMatrix(mx, v1, v2)
-	}
-	n := g.NumNodes()
-	cur := []graph.NodeID{v1}
-	for i, a := range atoms {
-		if i == len(atoms)-1 {
-			for _, v := range cur {
-				if a.SatMatrix(mx, v, v2) {
-					return true
-				}
-			}
-			return false
-		}
-		var next []graph.NodeID
-		for w := 0; w < n; w++ {
-			for _, v := range cur {
-				if a.SatMatrix(mx, v, graph.NodeID(w)) {
-					next = append(next, graph.NodeID(w))
-					break
-				}
-			}
-		}
-		if len(next) == 0 {
-			return false
-		}
-		cur = next
 	}
 	return false
 }

@@ -23,7 +23,7 @@ import (
 //     keeps for that purpose.
 //
 // Subclass F only asks "is the distance ≤ k" for small constant k, or
-// plain reachability for c+, so CAtom.SatMatrix decides almost every
+// plain reachability for c+, so Matrix.Sat decides almost every
 // pair from the byte alone.
 //
 // A Matrix is immutable after construction and safe for concurrent use.

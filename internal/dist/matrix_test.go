@@ -111,16 +111,16 @@ func TestMatrixSaturatedDistances(t *testing.T) {
 		}
 	}
 
-	// SatMatrix decides bounds on either side of the saturation point
-	// exactly like Sat on the true distance.
+	// Matrix.Sat decides bounds on either side of the saturation point
+	// exactly like CAtom.Sat on the true distance.
 	for _, c := range allLayers(g) {
 		for _, src := range []graph.NodeID{0, 1, 399, 400, 699} {
 			want := plainDists(g, c, src)
 			for _, max := range []int{1, 254, 255, 298, 299, 300, 400, 699, rex.Unbounded} {
 				at := CAtom{Color: c, Max: max}
 				for v2, w := range want {
-					if got := at.SatMatrix(mx, src, graph.NodeID(v2)); got != at.Sat(w) {
-						t.Fatalf("layer %d bound %d: SatMatrix(%d, %d) = %v, distance %d", c, max, src, v2, got, w)
+					if got := mx.Sat(at, src, graph.NodeID(v2), nil); got != at.Sat(w) {
+						t.Fatalf("layer %d bound %d: Sat(%d, %d) = %v, distance %d", c, max, src, v2, got, w)
 					}
 				}
 			}

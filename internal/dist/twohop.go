@@ -429,16 +429,6 @@ func (th *TwoHop) Sat(a CAtom, v1, v2 graph.NodeID, _ *Scratch) bool {
 	return a.Sat(th.Dist(a.Color, v1, v2))
 }
 
-// DistCtx is the ctx-aware face, for parity with Cache.DistCtx and
-// Matrix.DistCtx: a label merge cannot be abandoned, so the error is
-// ctx's error only when it was already cancelled on entry.
-func (th *TwoHop) DistCtx(ctx context.Context, c graph.ColorID, v1, v2 graph.NodeID, _ *Scratch) (int32, error) {
-	if ctx != nil && ctx.Err() != nil {
-		return graph.Unreachable, ctx.Err()
-	}
-	return th.Dist(c, v1, v2), nil
-}
-
 func (th *TwoHop) layer(c graph.ColorID) *thLayer {
 	if c == graph.AnyColor {
 		return &th.layers[len(th.layers)-1]

@@ -170,7 +170,7 @@ func (e *Engine) apply(ops []mutate.Op, rebuild bool) (Commit, error) {
 
 	ns := &genState{gen: gen, g: ng}
 	if rebuild {
-		ns.mx, ns.cache, ns.be = e.rebuildBackend(ng)
+		ns.be = e.rebuildBackend(ng)
 	}
 	if base.cands != nil {
 		// Incremental index maintenance: clone only the touched posting
@@ -212,25 +212,26 @@ func pick(from, to string, fromOK bool) string {
 // restarts cold at its configured capacity and re-fills from queries,
 // exactly as the paper's shared cache is populated. A GRAIL filter
 // requested via ReachFilterK is rebuilt and re-installed.
-func (e *Engine) rebuildBackend(ng *graph.Graph) (*dist.Matrix, *dist.Cache, dist.Backend) {
-	var mx *dist.Matrix
-	var cache *dist.Cache
-	var be dist.Backend
-	switch e.kind {
-	case "matrix":
-		mx = dist.NewMatrix(ng)
-	case "twohop":
-		be = dist.NewTwoHop(ng)
-	default: // "cache" — the engine-built LRU
-		cache = dist.NewCache(ng, e.cacheSize)
-		be = cache
-	}
+func (e *Engine) rebuildBackend(ng *graph.Graph) dist.Backend {
+	be := newBackend(e.kind, ng, e.cacheSize)
 	if e.filterK > 0 {
 		if fb, ok := be.(filterable); ok {
 			fb.SetFilter(reachidx.Build(ng, e.filterK))
 		}
 	}
-	return mx, cache, be
+	return be
+}
+
+// newBackend builds a backend of an engine-buildable kind over g.
+func newBackend(kind string, g *graph.Graph, cacheSize int) dist.Backend {
+	switch kind {
+	case "matrix":
+		return dist.NewMatrix(g)
+	case "twohop":
+		return dist.NewTwoHop(g)
+	default: // "cache" — the engine-built LRU
+		return dist.NewCache(g, cacheSize)
+	}
 }
 
 // ---- standing queries -----------------------------------------------------

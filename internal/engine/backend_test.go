@@ -92,12 +92,12 @@ func TestBackendEquivalence(t *testing.T) {
 
 	want := make([]string, len(qs))
 	for i, q := range qs {
-		want[i] = pairsKey(q.EvalMatrix(g, mx))
+		want[i] = pairsKey(q.EvalBFS(g))
 	}
 
 	r := rand.New(rand.NewSource(37))
 	pq := gen.Query(g, gen.Spec{Nodes: 3, Edges: 3, Preds: 2, Bound: 3, Colors: 2}, r)
-	wantPQ := pattern.JoinMatch(g, pq, pattern.Options{Matrix: mx}).String(g)
+	wantPQ := pattern.JoinMatch(g, pq, pattern.Options{}).String(g)
 
 	for name, opts := range map[string]engine.Options{
 		"matrix":        {Matrix: mx},

@@ -62,8 +62,8 @@ type Options struct {
 	Workers int
 
 	// Matrix, when non-nil, selects matrix-backed evaluation for every
-	// query: RQs run EvalMatrix, PQs run JoinMatch with O(1) pair
-	// lookups. The matrix is immutable and shared by all workers freely.
+	// query: single-atom checks of RQs and PQs are O(1) cell loads. The
+	// matrix is immutable and shared by all workers freely.
 	Matrix *dist.Matrix
 
 	// Cache is a shared LRU distance cache to use as the backend.
@@ -151,11 +151,9 @@ type filterable interface {
 // single-writer apply loop builds a successor bundle off to the side and
 // publishes it with one atomic pointer store.
 type genState struct {
-	gen   uint64
-	g     *graph.Graph
-	mx    *dist.Matrix
-	cache *dist.Cache
-	be    dist.Backend // active backend when mx is nil (cache, 2-hop, custom)
+	gen uint64
+	g   *graph.Graph
+	be  dist.Backend // matrix, 2-hop labels, cache or custom
 
 	// cands is the generation's candidate memo (attribute inverted
 	// index + predicate→candidates cache), shared by every worker and
@@ -301,38 +299,27 @@ func newEngine(g *graph.Graph, opts Options, buildKind bool) (*Engine, error) {
 		cacheSize = 1 << 16
 	}
 
-	mx := opts.Matrix
 	be := opts.Backend
-	cache := opts.Cache
 	kind := "custom"
 	switch {
-	case mx != nil:
-		kind = "matrix"
-	case cache != nil:
-		kind = "cache"
+	case opts.Matrix != nil:
+		be, kind = opts.Matrix, "matrix"
+	case opts.Cache != nil:
+		be, kind = opts.Cache, "cache"
 	case be != nil:
-		switch b := be.(type) {
+		switch be.(type) {
 		case *dist.TwoHop:
 			kind = "twohop"
 		case *dist.Cache:
 			kind = "cache"
-			cache = b
 		}
 	case opts.BackendKind != "":
 		// Engine-built by name: the same structures as the external
 		// equivalents, but owned by the engine — rebuilt per generation
 		// by Apply, so this path keeps the engine mutable.
 		kind = opts.BackendKind
-		if !buildKind {
-			break
-		}
-		switch kind {
-		case "matrix":
-			mx = dist.NewMatrix(g)
-		case "twohop":
-			be = dist.NewTwoHop(g)
-		case "cache":
-			cache = dist.NewCache(g, cacheSize)
+		if buildKind {
+			be = newBackend(kind, g, cacheSize)
 		}
 	case opts.AutoBackend:
 		budget := opts.MemoryBudget
@@ -340,41 +327,31 @@ func newEngine(g *graph.Graph, opts Options, buildKind bool) (*Engine, error) {
 			budget = 1 << 30
 		}
 		if dist.PredictMatrixBytes(g) <= budget {
-			mx = dist.NewMatrix(g)
-			kind = "matrix"
+			be, kind = dist.NewMatrix(g), "matrix"
 		} else if th, err := dist.NewTwoHopBudget(context.Background(), g, budget); err == nil {
-			be = th
-			kind = "twohop"
+			be, kind = th, "twohop"
 		} else {
 			// Labels blew the budget too: the O(capacity) cache is the
 			// only backend whose footprint does not depend on the graph.
-			cache = dist.NewCache(g, cacheSize)
-			kind = "cache"
+			be, kind = dist.NewCache(g, cacheSize), "cache"
 		}
 	default:
-		cache = dist.NewCache(g, cacheSize)
-		kind = "cache"
-	}
-	if cache != nil {
-		be = cache
+		be, kind = dist.NewCache(g, cacheSize), "cache"
 	}
 
-	if be != nil && (opts.ReachFilter != nil || opts.ReachFilterK > 0) {
+	// validate guaranteed explicit backends are filterable; the
+	// auto-selected matrix is the one combination that drops the filter
+	// (documented on Options.ReachFilter): it has no SetFilter.
+	if fb, ok := be.(filterable); ok && (opts.ReachFilter != nil || opts.ReachFilterK > 0) {
 		f := opts.ReachFilter
 		if f == nil {
 			f = reachidx.Build(g, opts.ReachFilterK)
 		}
-		// validate guaranteed explicit backends are filterable; the
-		// auto-selected matrix is the one combination that drops the
-		// filter (documented on Options.ReachFilter).
-		if fb, ok := be.(filterable); ok && mx == nil {
-			fb.SetFilter(f)
-		}
+		fb.SetFilter(f)
 	}
 
-	// Freeze the graph's lazy per-color index now: pattern normalization
-	// probes Succ/Pred, and building the index on first use from several
-	// workers at once would race.
+	// Freeze the graph's lazy per-color index now: building it on first
+	// use by Succ/Pred callers on several goroutines at once would race.
 	g.BuildColorIndex()
 	e := &Engine{
 		kind:      kind,
@@ -404,7 +381,7 @@ func newEngine(g *graph.Graph, opts Options, buildKind bool) (*Engine, error) {
 		}
 		e.wal = opts.WAL
 	}
-	st := &genState{g: g, mx: mx, cache: cache, be: be}
+	st := &genState{g: g, be: be}
 	if !opts.DisableCandidateIndex {
 		// Build the attribute inverted index once, up front, so no batch
 		// pays it mid-flight; the memo it feeds is shared by every reader
@@ -439,22 +416,21 @@ func (e *Engine) Generation() uint64 { return e.cur.Load().gen }
 
 // Matrix returns the current generation's distance matrix, nil unless
 // the engine is in matrix mode.
-func (e *Engine) Matrix() *dist.Matrix { return e.cur.Load().mx }
+func (e *Engine) Matrix() *dist.Matrix {
+	mx, _ := e.Backend().(*dist.Matrix)
+	return mx
+}
 
 // Cache returns the current generation's distance cache, nil unless the
 // engine's backend is a cache.
-func (e *Engine) Cache() *dist.Cache { return e.cur.Load().cache }
-
-// Backend returns the current generation's distance backend: the matrix
-// in matrix mode, otherwise whatever New selected or was given (cache,
-// 2-hop labels, custom).
-func (e *Engine) Backend() dist.Backend {
-	st := e.cur.Load()
-	if st.mx != nil {
-		return st.mx
-	}
-	return st.be
+func (e *Engine) Cache() *dist.Cache {
+	ca, _ := e.Backend().(*dist.Cache)
+	return ca
 }
+
+// Backend returns the current generation's distance backend: whatever
+// New selected or was given (matrix, 2-hop labels, cache, custom).
+func (e *Engine) Backend() dist.Backend { return e.cur.Load().be }
 
 // BackendKind names the active backend — "matrix", "twohop", "cache"
 // or "custom" — mainly so AutoBackend's choice is observable (servers
@@ -605,33 +581,21 @@ func (e *Engine) runCtx(ctx context.Context, st *genState, r Request, s *dist.Sc
 	case r.RQ != nil && r.PQ != nil:
 		return Result{Err: fmt.Errorf("engine: request sets both RQ and PQ")}
 	case r.RQ != nil:
-		if r.Emit != nil {
-			var err error
-			if st.mx != nil {
-				err = r.RQ.StreamMatrix(ctx, st.g, st.mx, st.candSource(), r.Emit)
-			} else {
-				err = r.RQ.StreamBackend(ctx, st.g, st.be, s, st.candSource(), r.Emit)
-			}
-			return Result{Err: err}
-		}
 		var pairs []reach.Pair
-		collect := func(p reach.Pair) bool {
-			pairs = append(pairs, p)
-			return true
+		emit := r.Emit
+		if emit == nil {
+			emit = func(p reach.Pair) bool {
+				pairs = append(pairs, p)
+				return true
+			}
 		}
-		var err error
-		if st.mx != nil {
-			err = r.RQ.StreamMatrix(ctx, st.g, st.mx, st.candSource(), collect)
-		} else {
-			err = r.RQ.StreamBackend(ctx, st.g, st.be, s, st.candSource(), collect)
-		}
-		if err != nil {
+		if err := r.RQ.StreamBackend(ctx, st.g, st.be, s, st.candSource(), emit); err != nil {
 			return Result{Err: err}
 		}
 		return Result{Pairs: pairs}
 	case r.PQ != nil:
 		match, err := pattern.JoinMatchCtx(ctx, st.g, r.PQ, pattern.Options{
-			Matrix: st.mx, Backend: st.be, Scratch: s, Cands: st.candSource(),
+			Backend: st.be, Scratch: s, Cands: st.candSource(),
 		})
 		if err != nil {
 			return Result{Err: err}

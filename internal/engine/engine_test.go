@@ -47,7 +47,7 @@ func TestBatchMatchesSerial(t *testing.T) {
 
 	want := make([]string, len(qs))
 	for i, q := range qs {
-		want[i] = pairsKey(q.EvalMatrix(g, mx))
+		want[i] = pairsKey(q.EvalBFS(g))
 	}
 	for name, opts := range map[string]engine.Options{
 		"cache":         {Workers: 4},
@@ -89,7 +89,7 @@ func TestMixedBatch(t *testing.T) {
 			t.Fatalf("request %d: %v", i, r.Err)
 		}
 		if reqs[i].RQ != nil {
-			want := reqs[i].RQ.EvalBiBFS(g, nil)
+			want := reqs[i].RQ.EvalBFS(g)
 			if pairsKey(r.Pairs) != pairsKey(want) {
 				t.Errorf("RQ %d: got %v, want %v", i, pairsKey(r.Pairs), pairsKey(want))
 			}
@@ -109,10 +109,9 @@ func TestMixedBatch(t *testing.T) {
 func TestConcurrentBatchesSharedCache(t *testing.T) {
 	g := testGraph(13)
 	qs := testRQs(g, 40, 17)
-	mx := dist.NewMatrix(g)
 	want := make([]string, len(qs))
 	for i, q := range qs {
-		want[i] = pairsKey(q.EvalMatrix(g, mx))
+		want[i] = pairsKey(q.EvalBFS(g))
 	}
 
 	ca := dist.NewCache(g, 1<<12)

@@ -89,8 +89,8 @@ func Recover(w *wal.WAL, seed *graph.Graph, opts Options) (*Engine, RecoverInfo,
 	// Replay left every generation it published without a backend (and
 	// newEngine left a BackendKind seed without one): build the one the
 	// final generation serves with. Still no reader, so again race-free.
-	if st := e.cur.Load(); st.mx == nil && st.be == nil {
-		st.mx, st.cache, st.be = e.rebuildBackend(st.g)
+	if st := e.cur.Load(); st.be == nil {
+		st.be = e.rebuildBackend(st.g)
 	}
 
 	e.wal = w

@@ -91,7 +91,7 @@ func TestGeneratedQueriesAreMeaningful(t *testing.T) {
 		if q.NumNodes() < 2 || q.NumEdges() < 1 {
 			t.Fatalf("degenerate query: %v", q)
 		}
-		res := pattern.JoinMatch(g, q, pattern.Options{Matrix: mx})
+		res := pattern.JoinMatch(g, q, pattern.Options{Backend: mx})
 		if !res.Empty() {
 			nonEmpty++
 		}
@@ -110,7 +110,7 @@ func TestGeneratedRQsAreMeaningful(t *testing.T) {
 	const trials = 20
 	for i := 0; i < trials; i++ {
 		q := gen.RQ(g, 2, 3, 2, r)
-		if len(q.EvalMatrix(g, mx)) > 0 {
+		if len(q.EvalBackend(g, mx)) > 0 {
 			nonEmpty++
 		}
 	}

@@ -329,51 +329,8 @@ func (g *Graph) Pred(v NodeID, c ColorID) []NodeID {
 	return bc[v]
 }
 
-// Unreachable is the distance reported by BFS for unreachable nodes.
+// Unreachable is the distance of a node pair with no path between them.
 const Unreachable = int32(-1)
-
-// BFS computes single-source shortest hop counts from src using only edges
-// of color c (every edge when c is AnyColor). dist[src] is 0 even if src
-// has a self-loop; the paper's path semantics require non-empty paths, so
-// callers needing "src reaches itself" must inspect edges explicitly (see
-// BFSNonEmpty).
-func (g *Graph) BFS(src NodeID, c ColorID) []int32 {
-	dist := make([]int32, len(g.nodes))
-	for i := range dist {
-		dist[i] = Unreachable
-	}
-	dist[src] = 0
-	queue := []NodeID{src}
-	for len(queue) > 0 {
-		v := queue[0]
-		queue = queue[1:]
-		for _, w := range g.Succ(v, c) {
-			if dist[w] == Unreachable {
-				dist[w] = dist[v] + 1
-				queue = append(queue, w)
-			}
-		}
-	}
-	return dist
-}
-
-// BFSNonEmpty computes the length of the shortest non-empty path from src
-// to every node via edges of color c. It differs from BFS only at src
-// itself: dist[src] is the shortest cycle through src (or Unreachable).
-func (g *Graph) BFSNonEmpty(src NodeID, c ColorID) []int32 {
-	dist := g.BFS(src, c)
-	// Shortest non-empty path back to src: 1 + min over predecessors' dist.
-	best := Unreachable
-	for _, p := range g.Pred(src, c) {
-		if d := dist[p]; d != Unreachable {
-			if best == Unreachable || d+1 < best {
-				best = d + 1
-			}
-		}
-	}
-	dist[src] = best
-	return dist
-}
 
 // ---- strongly connected components --------------------------------------
 

@@ -9,19 +9,6 @@ import (
 	"testing/quick"
 )
 
-// line builds a -c-> b -c-> c ... path graph.
-func lineGraph(n int, color string) *Graph {
-	g := New()
-	ids := make([]NodeID, n)
-	for i := 0; i < n; i++ {
-		ids[i] = g.AddNode(string(rune('a'+i)), nil)
-	}
-	for i := 0; i+1 < n; i++ {
-		g.AddEdge(ids[i], ids[i+1], color)
-	}
-	return g
-}
-
 func TestAddNodeDuplicate(t *testing.T) {
 	g := New()
 	a := g.AddNode("a", map[string]string{"k": "1"})
@@ -99,56 +86,6 @@ func TestSuccIndexRebuiltAfterMutation(t *testing.T) {
 	g.AddEdge(a, c, "x")
 	if got := g.Succ(a, x); len(got) != 2 {
 		t.Errorf("after mutation Succ(a,x) = %v, want 2 successors", got)
-	}
-}
-
-func TestBFSLine(t *testing.T) {
-	g := lineGraph(5, "c")
-	c, _ := g.ColorID("c")
-	dist := g.BFS(0, c)
-	want := []int32{0, 1, 2, 3, 4}
-	if !reflect.DeepEqual(dist, want) {
-		t.Errorf("BFS = %v, want %v", dist, want)
-	}
-}
-
-func TestBFSColorRestriction(t *testing.T) {
-	g := New()
-	a := g.AddNode("a", nil)
-	b := g.AddNode("b", nil)
-	c := g.AddNode("c", nil)
-	g.AddEdge(a, b, "x")
-	g.AddEdge(b, c, "y") // breaks the x-only path
-	x, _ := g.ColorID("x")
-	dist := g.BFS(a, x)
-	if dist[b] != 1 || dist[c] != Unreachable {
-		t.Errorf("color-restricted BFS = %v", dist)
-	}
-	distAny := g.BFS(a, AnyColor)
-	if distAny[c] != 2 {
-		t.Errorf("wildcard BFS dist to c = %d, want 2", distAny[c])
-	}
-}
-
-func TestBFSNonEmptySelf(t *testing.T) {
-	g := New()
-	a := g.AddNode("a", nil)
-	b := g.AddNode("b", nil)
-	g.AddEdge(a, b, "x")
-	g.AddEdge(b, a, "x")
-	x, _ := g.ColorID("x")
-	dist := g.BFSNonEmpty(a, x)
-	if dist[a] != 2 {
-		t.Errorf("shortest non-empty cycle at a = %d, want 2", dist[a])
-	}
-	// Without the return edge, a cannot reach itself non-emptily.
-	g2 := New()
-	a2 := g2.AddNode("a", nil)
-	b2 := g2.AddNode("b", nil)
-	g2.AddEdge(a2, b2, "x")
-	x2, _ := g2.ColorID("x")
-	if d := g2.BFSNonEmpty(a2, x2); d[a2] != Unreachable {
-		t.Errorf("no cycle: dist[a] = %d, want Unreachable", d[a2])
 	}
 }
 
@@ -291,25 +228,6 @@ func TestReadTSVErrors(t *testing.T) {
 	}
 }
 
-func BenchmarkBFS(b *testing.B) {
-	r := rand.New(rand.NewSource(1))
-	g := New()
-	const n = 2000
-	for i := 0; i < n; i++ {
-		g.AddNode(string(rune('n'))+string(rune(i)), nil)
-	}
-	colors := []string{"a", "b", "c", "d"}
-	for i := 0; i < 4*n; i++ {
-		g.AddEdge(NodeID(r.Intn(n)), NodeID(r.Intn(n)), colors[r.Intn(4)])
-	}
-	c, _ := g.ColorID("a")
-	b.ResetTimer()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		g.BFS(NodeID(i%n), c)
-	}
-}
-
 func TestRemoveEdge(t *testing.T) {
 	g := New()
 	a := g.AddNode("a", nil)
@@ -343,17 +261,5 @@ func TestRemoveEdge(t *testing.T) {
 	}
 	if g.NumEdges() != 0 {
 		t.Errorf("NumEdges = %d, want 0", g.NumEdges())
-	}
-}
-
-func TestRemoveEdgeBFSConsistency(t *testing.T) {
-	g := lineGraph(4, "c")
-	c, _ := g.ColorID("c")
-	if !g.RemoveEdge(1, 2, "c") {
-		t.Fatal("middle edge should exist")
-	}
-	dist := g.BFS(0, c)
-	if dist[1] != 1 || dist[2] != Unreachable || dist[3] != Unreachable {
-		t.Errorf("BFS after removal = %v", dist)
 	}
 }

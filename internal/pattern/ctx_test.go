@@ -6,28 +6,24 @@ import (
 	"reflect"
 	"testing"
 
-	"regraph/internal/dist"
 	"regraph/internal/gen"
 	"regraph/internal/pattern"
 )
 
 // TestMatchCtx: with a live context both Ctx evaluators agree with
 // their plain forms; with a dead one they return the context's error —
-// in matrix mode and in runtime-search mode.
+// on every backend.
 func TestMatchCtx(t *testing.T) {
 	g := gen.Synthetic(6, 200, 800, 3, gen.DefaultColors)
-	mx := dist.NewMatrix(g)
-	ca := dist.NewCache(g, 1<<12)
 	r := rand.New(rand.NewSource(9))
 	dead, cancel := context.WithCancel(context.Background())
 	cancel()
+	backends := backendTable(g)
 
 	for i := 0; i < 10; i++ {
 		q := gen.Query(g, gen.Spec{Nodes: 3, Edges: 3, Preds: 2, Bound: 3, Colors: 2}, r)
-		for name, opts := range map[string]pattern.Options{
-			"matrix": {Matrix: mx},
-			"search": {Cache: ca},
-		} {
+		for _, b := range backends {
+			name, opts := b.name, pattern.Options{Backend: b.be}
 			want := pattern.JoinMatch(g, q, opts)
 			got, err := pattern.JoinMatchCtx(context.Background(), g, q, opts)
 			if err != nil {

@@ -109,8 +109,8 @@ func (inc *Incremental) ApplyCommitted(ng *graph.Graph, d Delta) bool {
 	nodes = append(nodes, d.AddedNodes...)
 	shrunk := false
 	gainSites := map[graph.NodeID]bool{}
-	for u := range inc.nq.preds {
-		pred := inc.nq.preds[u]
+	for u := range inc.mats {
+		pred := inc.q.Node(u).Pred
 		m := &inc.mats[u]
 		for _, v := range nodes {
 			holds := pred.IsTrue() || pred.Eval(ng.Attrs(v))
@@ -142,8 +142,8 @@ func (inc *Incremental) ApplyCommitted(ng *graph.Graph, d Delta) bool {
 			return true
 		}
 		region := inc.backwardBallMulti(centers)
-		for u := range inc.nq.preds {
-			pred := inc.nq.preds[u]
+		for u := range inc.mats {
+			pred := inc.q.Node(u).Pred
 			m := &inc.mats[u]
 			for v := range region {
 				if !region[v] || m.has[v] {

@@ -6,36 +6,28 @@ import (
 
 	"regraph/internal/dist"
 	"regraph/internal/graph"
-	"regraph/internal/predicate"
 	"regraph/internal/reach"
 )
 
 // Options selects how edge constraints are checked, mirroring the "flag"
 // argument of the paper's algorithms.
 //
-// With a Matrix, the query is normalized (every multi-atom edge is split
-// into single-atom edges through dummy nodes) and each pair check is an
-// O(1) matrix lookup — the JoinMatchM / SplitMatchM configurations of the
-// experiments. Without a Matrix the algorithms run the bi-directional
-// runtime search, optionally through an LRU distance Cache — the
-// JoinMatchC / SplitMatchC configurations.
+// Backend supplies the distance backend (Matrix, Cache or TwoHop — see
+// dist.Backend): every single-atom edge is then checked pair by pair
+// through Backend.Sat — an O(1) cell load on the matrix, the paper's
+// JoinMatchM / SplitMatchM configurations, or a bounded bi-directional
+// search on a cache miss, JoinMatchC / SplitMatchC. A multi-atom edge
+// is checked by closure search on every backend, and a nil Backend uses
+// closure search for single-atom edges too. The greatest fixpoint does
+// not depend on how each edge check is answered, so answers are
+// identical across backends.
 type Options struct {
-	Matrix *dist.Matrix
-	Cache  *dist.Cache
-
-	// Backend optionally supplies a general distance backend (Matrix,
-	// TwoHop, Cache — see dist.Backend) for the runtime-search mode's
-	// single-atom pair checks, taking precedence over Cache. It does
-	// not switch on the normalized matrix algorithm — that needs the
-	// concrete Matrix field — but any backend makes single-atom edges a
-	// pairwise lookup instead of a closure search. Answers are
-	// identical across backends by the Backend contract.
 	Backend dist.Backend
 
-	// Scratch optionally supplies a reusable search arena for the
-	// runtime-search configurations; nil borrows one from the dist
-	// package pool per evaluation. Engine workers pass their own so
-	// back-to-back pattern queries reuse one set of buffers.
+	// Scratch optionally supplies a reusable search arena; nil borrows
+	// one from the dist package pool per evaluation. Engine workers pass
+	// their own so back-to-back pattern queries reuse one set of
+	// buffers.
 	Scratch *dist.Scratch
 
 	// Cands optionally supplies indexed/memoized predicate candidate
@@ -51,20 +43,6 @@ type Options struct {
 	DisableTopoOrder bool
 }
 
-// distBackend resolves the pairwise distance oracle for the
-// runtime-search mode: the explicit Backend when set, else the Cache
-// (lifted into the interface only when non-nil — a nil *Cache must
-// become a nil interface), else nil, which means closure search only.
-func (o Options) distBackend() dist.Backend {
-	if o.Backend != nil {
-		return o.Backend
-	}
-	if o.Cache != nil {
-		return o.Cache
-	}
-	return nil
-}
-
 // scratch returns the arena evaluation should run on plus a put function
 // for when it was borrowed from the pool.
 func (o Options) scratch() (*dist.Scratch, func()) {
@@ -75,84 +53,19 @@ func (o Options) scratch() (*dist.Scratch, func()) {
 	return s, func() { dist.PutScratch(s) }
 }
 
-// ---- normalized form -------------------------------------------------------
-
-// normEdge is a single-atom edge of the normalized pattern.
-type normEdge struct {
-	from, to int
-	atom     dist.CAtom
-}
-
-// normQuery is the paper's Normalize(Qp): every edge of the original
-// pattern is decomposed into a chain of single-atom edges through fresh
-// dummy nodes that carry no condition.
-type normQuery struct {
-	preds   []predicate.Pred // per normalized node; dummies are empty
-	orig    []int            // original node index, -1 for dummies
-	ofNode  []int            // original node -> normalized node
-	edges   []normEdge
-	out, in [][]int // edge indices per normalized node
-
-	// For dummy nodes, the colors of the chain atoms ending and starting
-	// at them. A data node can only stand at that chain position if it
-	// has an incoming edge of inColor and an outgoing edge of outColor
-	// (AnyColor matches every edge), which initialMats uses to seed dummy
-	// match sets far below |V|.
-	dummyIn, dummyOut []graph.ColorID
-}
-
-// normalize builds the normalized pattern. ok is false when some edge
-// mentions a color absent from the graph, in which case the answer is
-// empty. When split is false, edges are kept whole (one normEdge carries
-// the full atom chain via atoms table) — used by the runtime-search mode,
-// which can evaluate whole expressions directly.
-func normalize(g *graph.Graph, q *Query, split bool) (*normQuery, [][]dist.CAtom, bool) {
-	nq := &normQuery{}
-	addNode := func(p predicate.Pred, orig int) int {
-		id := len(nq.preds)
-		nq.preds = append(nq.preds, p)
-		nq.orig = append(nq.orig, orig)
-		nq.out = append(nq.out, nil)
-		nq.in = append(nq.in, nil)
-		nq.dummyIn = append(nq.dummyIn, graph.AnyColor)
-		nq.dummyOut = append(nq.dummyOut, graph.AnyColor)
-		return id
-	}
-	nq.ofNode = make([]int, q.NumNodes())
-	for i := 0; i < q.NumNodes(); i++ {
-		nq.ofNode[i] = addNode(q.Node(i).Pred, i)
-	}
-	addEdge := func(from, to int, a dist.CAtom) {
-		id := len(nq.edges)
-		nq.edges = append(nq.edges, normEdge{from, to, a})
-		nq.out[from] = append(nq.out[from], id)
-		nq.in[to] = append(nq.in[to], id)
-	}
+// compile resolves every pattern edge's expression into its atom
+// chain, indexed by edge. ok is false when some edge mentions a color
+// absent from the graph, in which case the answer is empty.
+func compile(g *graph.Graph, q *Query) ([][]dist.CAtom, bool) {
 	chains := make([][]dist.CAtom, q.NumEdges())
-	for ei := 0; ei < q.NumEdges(); ei++ {
-		e := q.Edge(ei)
-		atoms, ok := dist.Compile(g, e.Expr)
+	for ei := range chains {
+		atoms, ok := dist.Compile(g, q.Edge(ei).Expr)
 		if !ok {
-			return nil, nil, false
+			return nil, false
 		}
 		chains[ei] = atoms
-		if !split || len(atoms) == 1 {
-			// Single edge; in unsplit mode the atom field is unused when
-			// the chain has several atoms (the chain table is consulted).
-			addEdge(nq.ofNode[e.From], nq.ofNode[e.To], atoms[0])
-			continue
-		}
-		prev := nq.ofNode[e.From]
-		for i := 0; i < len(atoms)-1; i++ {
-			d := addNode(predicate.Pred{}, -1)
-			nq.dummyIn[d] = atoms[i].Color
-			nq.dummyOut[d] = atoms[i+1].Color
-			addEdge(prev, d, atoms[i])
-			prev = d
-		}
-		addEdge(prev, nq.ofNode[e.To], atoms[len(atoms)-1])
 	}
-	return nq, chains, true
+	return chains, true
 }
 
 // nodeSet is a match set: a bitset of length |V| for membership tests,
@@ -219,70 +132,18 @@ func (m *nodeSet) members() []graph.NodeID {
 	return m.ids
 }
 
-// checker abstracts the Join procedure of Fig. 7: prune from src every
-// node with no edge-satisfying successor in tgt. Implementations differ
-// between matrix mode (O(1) pair lookups) and runtime-search mode
-// (multi-source bounded BFS). Both report whether src changed and whether
-// it stayed non-empty.
-type checker interface {
-	refineSrc(ei int, src, tgt *nodeSet) (changed, nonEmpty bool)
-}
-
-// matrixChecker: every normalized edge is a single atom; each pair check
-// is an O(1) matrix lookup, so the Join is O(|mat(u')|·|mat(u)|). The
-// scratch is carried only for its cancellation binding: one refineSrc
-// sweep can be |V|·|V| lookups, the fixpoint's longest uninterruptible
-// stretch in matrix mode.
-type matrixChecker struct {
-	mx    *dist.Matrix
-	edges []normEdge
-	s     *dist.Scratch
-}
-
-func (c *matrixChecker) refineSrc(ei int, srcSet, tgtSet *nodeSet) (changed, nonEmpty bool) {
-	src, tgt := srcSet.has, tgtSet.has
-	a := c.edges[ei].atom
-	seen := 0
-	for x := range src {
-		if !src[x] {
-			continue
-		}
-		seen++
-		if seen&255 == 0 && c.s.Canceled() {
-			// Abandoned evaluation: stop refining. The fixpoint loop
-			// re-checks the binding before using this partial answer.
-			return changed, true
-		}
-		keep := false
-		for y := range tgt {
-			if tgt[y] && a.SatMatrix(c.mx, graph.NodeID(x), graph.NodeID(y)) {
-				keep = true
-				break
-			}
-		}
-		if keep {
-			nonEmpty = true
-		} else {
-			src[x] = false
-			changed = true
-		}
-	}
-	return changed, nonEmpty
-}
-
-// searchChecker: edges keep their whole atom chains. Single-atom edges
-// are checked pair by pair through Backend.Sat when a backend is
-// configured — the LRU cache is the paper's configuration (a miss runs a
-// bi-directional BFS bounded by the atom), but any dist.Backend (TwoHop
-// labels, a Matrix used without normalized splitting) slots in
-// identically. Multi-atom edges use the paper's multi-color runtime
-// evaluation: the whole target set's backward image under the
-// expression, by multi-source bounded BFS, intersected with the source
-// set. Both iterate set members, never |V| slots.
+// searchChecker is the Join procedure of Fig. 7: prune from src every
+// node with no edge-satisfying successor in tgt, reporting whether src
+// changed and whether it stayed non-empty. Single-atom edges are checked
+// pair by pair through Backend.Sat when a backend is configured.
+// Multi-atom edges use the paper's multi-color runtime evaluation: the
+// whole target set's backward image under the expression, by
+// multi-source bounded BFS, intersected with the source set. Both
+// iterate set members, never |V| slots.
 type searchChecker struct {
 	g       *graph.Graph
 	be      dist.Backend
-	chains  [][]dist.CAtom // per normalized edge (== original edge here)
+	chains  [][]dist.CAtom // per pattern edge
 	scratch *dist.Scratch
 }
 
@@ -335,10 +196,11 @@ func (c *searchChecker) refineSrc(ei int, src, tgt *nodeSet) (changed, nonEmpty 
 
 // JoinMatch evaluates the pattern with the join-based algorithm of
 // Section 5.1 (Fig. 7): initial match sets are refined edge by edge, the
-// strongly connected components of the (normalized) pattern are processed
-// in reverse topological order, and within each component refinement
-// iterates to a fixpoint. Runs in O(|E'p| |V|^2) after preprocessing when
-// a distance matrix is used.
+// strongly connected components of the pattern are processed in reverse
+// topological order, and within each component refinement iterates to
+// a fixpoint. With a Matrix backend a single-atom edge check is
+// O(|mat(u')|·|mat(u)|) cell loads; a multi-atom edge check is one
+// backward closure of the target set on every backend.
 func JoinMatch(g *graph.Graph, q *Query, opts Options) *Result {
 	res, _ := JoinMatchCtx(nil, g, q, opts)
 	return res
@@ -358,8 +220,7 @@ func JoinMatchCtx(ctx context.Context, g *graph.Graph, q *Query, opts Options) (
 		// empty answer.
 		return &Result{}, nil
 	}
-	useMatrix := opts.Matrix != nil
-	nq, chains, ok := normalize(g, q, useMatrix)
+	chains, ok := compile(g, q)
 	if !ok {
 		return &Result{}, nil
 	}
@@ -367,24 +228,19 @@ func JoinMatchCtx(ctx context.Context, g *graph.Graph, q *Query, opts Options) (
 	defer release()
 	unbind := s.BindContext(ctx)
 	defer unbind()
-	var ck checker
-	if useMatrix {
-		ck = &matrixChecker{mx: opts.Matrix, edges: nq.edges, s: s}
-	} else {
-		ck = &searchChecker{g: g, be: opts.distBackend(), chains: chains, scratch: s}
-	}
-	mats := initialMats(g, nq, opts.Cands, s)
+	ck := &searchChecker{g: g, be: opts.Backend, chains: chains, scratch: s}
+	mats := initialMats(g, q, opts.Cands, s)
 	if mats == nil {
 		return &Result{}, nil
 	}
 	defer releaseMats(mats, s)
-	if !refine(g, nq, ck, mats, opts.DisableTopoOrder, s) {
+	if !refine(q, ck, mats, opts.DisableTopoOrder, s) {
 		if s.Canceled() {
 			return nil, ctx.Err()
 		}
 		return &Result{}, nil
 	}
-	res := collect(g, q, nq, chains, mats, opts, s)
+	res := collect(g, q, chains, mats, opts.Backend, s)
 	if s.Canceled() {
 		return nil, ctx.Err()
 	}
@@ -398,41 +254,22 @@ func JoinMatchCtx(ctx context.Context, g *graph.Graph, q *Query, opts Options) (
 // minimization drops isolated nodes), so their emptiness is not fatal.
 // Non-trivial predicates seed through cs when non-nil instead of the
 // per-node scan.
-func initialMats(g *graph.Graph, nq *normQuery, cs reach.CandidateSource, s *dist.Scratch) []nodeSet {
+func initialMats(g *graph.Graph, q *Query, cs reach.CandidateSource, s *dist.Scratch) []nodeSet {
 	n := g.NumNodes()
-	mats := make([]nodeSet, len(nq.preds))
-	for u, p := range nq.preds {
+	mats := make([]nodeSet, q.NumNodes())
+	for u := range mats {
+		p := q.Node(u).Pred
 		m := newNodeSet(n, s)
-		if nq.orig[u] < 0 {
-			// Dummy node: no predicate, but a witness at this chain
-			// position must have an incoming edge of the preceding atom's
-			// color and an outgoing edge of the following atom's color.
-			hasIn := func(v graph.NodeID) bool {
-				if c := nq.dummyIn[u]; c != graph.AnyColor {
-					return len(g.Pred(v, c)) > 0
-				}
-				return len(g.In(v)) > 0
-			}
-			hasOut := func(v graph.NodeID) bool {
-				if c := nq.dummyOut[u]; c != graph.AnyColor {
-					return len(g.Succ(v, c)) > 0
-				}
-				return len(g.Out(v)) > 0
-			}
-			for v := 0; v < n; v++ {
-				if hasIn(graph.NodeID(v)) && hasOut(graph.NodeID(v)) {
-					m.add(graph.NodeID(v))
-				}
-			}
-		} else if p.IsTrue() {
+		switch {
+		case p.IsTrue():
 			for v := 0; v < n; v++ {
 				m.add(graph.NodeID(v))
 			}
-		} else if cs != nil {
+		case cs != nil:
 			for _, v := range cs.Candidates(p) {
 				m.add(v)
 			}
-		} else {
+		default:
 			for v := 0; v < n; v++ {
 				if p.Eval(g.Attrs(graph.NodeID(v))) {
 					m.add(graph.NodeID(v))
@@ -440,7 +277,7 @@ func initialMats(g *graph.Graph, nq *normQuery, cs reach.CandidateSource, s *dis
 			}
 		}
 		mats[u] = m
-		if len(m.ids) == 0 && (len(nq.out[u]) > 0 || len(nq.in[u]) > 0) {
+		if len(m.ids) == 0 && (len(q.Out(u)) > 0 || len(q.In(u)) > 0) {
 			releaseMats(mats[:u+1], s)
 			return nil
 		}
@@ -460,21 +297,21 @@ func releaseMats(mats []nodeSet, s *dist.Scratch) {
 // whose target lost matches re-triggers its sources. Returns false when
 // some match set empties — or when the context bound to s is cancelled,
 // which callers distinguish via s.Canceled().
-func refine(g *graph.Graph, nq *normQuery, ck checker, mats []nodeSet, noOrder bool, s *dist.Scratch) bool {
+func refine(q *Query, ck *searchChecker, mats []nodeSet, noOrder bool, s *dist.Scratch) bool {
 	var comps [][]int
 	if noOrder {
 		// Ablation mode: one flat "component" holding every node, i.e. a
 		// plain chaotic fixpoint without the reverse topological sweep.
-		all := make([]int, len(nq.preds))
+		all := make([]int, q.NumNodes())
 		for i := range all {
 			all[i] = i
 		}
 		comps = [][]int{all}
 	} else {
-		comps = graph.SCC(len(nq.preds), func(u int) []int {
-			succs := make([]int, 0, len(nq.out[u]))
-			for _, ei := range nq.out[u] {
-				succs = append(succs, nq.edges[ei].to)
+		comps = graph.SCC(q.NumNodes(), func(u int) []int {
+			succs := make([]int, 0, len(q.Out(u)))
+			for _, ei := range q.Out(u) {
+				succs = append(succs, q.Edge(ei).To)
 			}
 			return succs
 		})
@@ -485,11 +322,11 @@ func refine(g *graph.Graph, nq *normQuery, ck checker, mats []nodeSet, noOrder b
 	// DAG part of the pattern needs a single bottom-up sweep, and only
 	// cyclic components iterate). Refinement in any order converges to the
 	// same maximum fixpoint; the order matters for work, not correctness.
-	queued := make([]bool, len(nq.edges))
+	queued := make([]bool, q.NumEdges())
 	for _, comp := range comps {
 		var queue []int
 		for _, u := range comp {
-			for _, ei := range nq.in[u] {
+			for _, ei := range q.In(u) {
 				if !queued[ei] {
 					queue = append(queue, ei)
 					queued[ei] = true
@@ -503,15 +340,15 @@ func refine(g *graph.Graph, nq *normQuery, ck checker, mats []nodeSet, noOrder b
 			ei := queue[0]
 			queue = queue[1:]
 			queued[ei] = false
-			e := nq.edges[ei]
-			changed, nonEmpty := ck.refineSrc(ei, &mats[e.from], &mats[e.to])
+			e := q.Edge(ei)
+			changed, nonEmpty := ck.refineSrc(ei, &mats[e.From], &mats[e.To])
 			if changed && !nonEmpty {
 				return false
 			}
 			if changed {
 				// The source node shrank; its own incoming edges must be
 				// re-checked (their sources may lose matches in turn).
-				for _, ei2 := range nq.in[e.from] {
+				for _, ei2 := range q.In(e.From) {
 					if !queued[ei2] {
 						queue = append(queue, ei2)
 						queued[ei2] = true
@@ -524,17 +361,16 @@ func refine(g *graph.Graph, nq *normQuery, ck checker, mats []nodeSet, noOrder b
 }
 
 // collect builds the final Se sets (Fig. 7 lines 15-17) from the match
-// sets of the original nodes, iterating their members in ascending
-// order. On cancellation (observed through s's binding) the partial
-// result is meaningless; callers must check s.Canceled() before using
-// it.
-func collect(g *graph.Graph, q *Query, nq *normQuery, chains [][]dist.CAtom, mats []nodeSet, opts Options, s *dist.Scratch) *Result {
+// sets, iterating their members in ascending order; single-atom edges
+// ask be (nil: a bounded bi-directional search per pair). On
+// cancellation (observed through s's binding) the partial result is
+// meaningless; callers must check s.Canceled() before using it.
+func collect(g *graph.Graph, q *Query, chains [][]dist.CAtom, mats []nodeSet, be dist.Backend, s *dist.Scratch) *Result {
 	res := &Result{q: q, Sets: make([][]reach.Pair, q.NumEdges())}
-	be := opts.distBackend()
 	for ei := 0; ei < q.NumEdges(); ei++ {
 		e := q.Edge(ei)
-		from := mats[nq.ofNode[e.From]].members()
-		to := mats[nq.ofNode[e.To]].members()
+		from := mats[e.From].members()
+		to := mats[e.To].members()
 		atoms := chains[ei]
 		var pairs []reach.Pair
 		if len(atoms) == 1 {
@@ -545,12 +381,9 @@ func collect(g *graph.Graph, q *Query, nq *normQuery, chains [][]dist.CAtom, mat
 				}
 				for _, y := range to {
 					var sat bool
-					switch {
-					case opts.Matrix != nil:
-						sat = a.SatMatrix(opts.Matrix, x, y)
-					case be != nil:
+					if be != nil {
 						sat = be.Sat(a, x, y, s)
-					default:
+					} else {
 						sat = dist.BiSat(g, a, x, y, s)
 					}
 					if sat {

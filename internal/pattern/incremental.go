@@ -36,7 +36,6 @@ import (
 type Incremental struct {
 	g      *graph.Graph
 	q      *Query
-	nq     *normQuery
 	chains [][]dist.CAtom
 	ck     *searchChecker
 	mats   []nodeSet // nil when the current answer is empty
@@ -55,14 +54,13 @@ func NewIncremental(g *graph.Graph, q *Query) (*Incremental, error) {
 	if q.NumEdges() == 0 {
 		return nil, fmt.Errorf("pattern: incremental maintenance needs a pattern with edges")
 	}
-	nq, chains, ok := normalize(g, q, false)
+	chains, ok := compile(g, q)
 	if !ok {
 		return nil, fmt.Errorf("pattern: expression mentions a color absent from the graph")
 	}
 	inc := &Incremental{
 		g:      g,
 		q:      q,
-		nq:     nq,
 		chains: chains,
 		// The engine is single-owner, so it keeps a private arena alive
 		// for all its re-refinements instead of borrowing per call.
@@ -141,11 +139,11 @@ func (inc *Incremental) full() {
 		releaseMats(inc.mats, s)
 		inc.mats = nil
 	}
-	mats := initialMats(inc.g, inc.nq, nil, s)
+	mats := initialMats(inc.g, inc.q, nil, s)
 	if mats == nil {
 		return
 	}
-	if !refine(inc.g, inc.nq, inc.ck, mats, false, s) {
+	if !refine(inc.q, inc.ck, mats, false, s) {
 		releaseMats(mats, s)
 		return
 	}
@@ -161,7 +159,7 @@ func (inc *Incremental) Result() *Result {
 	// collect may discover an edge with no pairs (global emptiness).
 	s := dist.GetScratch()
 	defer dist.PutScratch(s)
-	return collect(inc.g, inc.q, inc.nq, inc.chains, inc.mats, Options{}, s)
+	return collect(inc.g, inc.q, inc.chains, inc.mats, nil, s)
 }
 
 // MatchSet returns the current match set of a pattern node as node IDs.
@@ -170,7 +168,7 @@ func (inc *Incremental) MatchSet(u int) []graph.NodeID {
 		return nil
 	}
 	var out []graph.NodeID
-	return append(out, inc.mats[inc.nq.ofNode[u]].members()...)
+	return append(out, inc.mats[u].members()...)
 }
 
 // relevant reports whether an edge of this color can influence the
@@ -214,8 +212,8 @@ func (inc *Incremental) InsertEdge(from, to graph.NodeID, color string) {
 	region := inc.backwardBall(from)
 	region[int(from)] = true
 	changedAny := false
-	for u := range inc.nq.preds {
-		pred := inc.nq.preds[u]
+	for u := range inc.mats {
+		pred := inc.q.Node(u).Pred
 		m := &inc.mats[u]
 		for v := range region {
 			if !region[v] || m.has[v] {
@@ -280,10 +278,10 @@ func (inc *Incremental) InsertNode(name string, attrs map[string]string) graph.N
 		inc.full()
 		return id
 	}
-	for u := range inc.nq.preds {
+	for u := range inc.mats {
 		m := &inc.mats[u]
 		m.grow(int(id) + 1)
-		if p := inc.nq.preds[u]; len(inc.nq.out[u]) == 0 && (p.IsTrue() || p.Eval(inc.g.Attrs(id))) {
+		if p := inc.q.Node(u).Pred; len(inc.q.Out(u)) == 0 && (p.IsTrue() || p.Eval(inc.g.Attrs(id))) {
 			m.add(id)
 		}
 	}
@@ -293,7 +291,7 @@ func (inc *Incremental) InsertNode(name string, attrs map[string]string) graph.N
 // refine re-runs the fixpoint from the current match sets, dropping them
 // when the answer empties.
 func (inc *Incremental) refine() {
-	if !refine(inc.g, inc.nq, inc.ck, inc.mats, false, inc.ck.scratch) {
+	if !refine(inc.q, inc.ck, inc.mats, false, inc.ck.scratch) {
 		releaseMats(inc.mats, inc.ck.scratch)
 		inc.mats = nil
 	}

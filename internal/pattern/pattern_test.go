@@ -30,13 +30,29 @@ func essemblyQ2() *pattern.Query {
 	return q
 }
 
+// backendTable is the backend input of the cross-checks: every
+// algorithm must give the same answer whichever backend serves its
+// single-atom checks, or none.
+func backendTable(g *graph.Graph) []struct {
+	name string
+	be   dist.Backend
+} {
+	return []struct {
+		name string
+		be   dist.Backend
+	}{
+		{"none", nil},
+		{"matrix", dist.NewMatrix(g)},
+		{"cache", dist.NewCache(g, 256)},
+		{"twohop", dist.NewTwoHop(g)},
+	}
+}
+
 // TestExample23 reproduces the paper's Example 2.3: the exact answer table
-// for Q2 over the Fig. 1 graph, under all four algorithm configurations.
+// for Q2 over the Fig. 1 graph, under both algorithms on every backend.
 func TestExample23(t *testing.T) {
 	g := gen.Essembly()
 	q := essemblyQ2()
-	mx := dist.NewMatrix(g)
-	ca := dist.NewCache(g, 1024)
 
 	want := map[string]string{
 		"(B,C)": "{(B1,C3), (B2,C3)}",
@@ -45,17 +61,19 @@ func TestExample23(t *testing.T) {
 		"(C,C)": "{(C3,C3)}",
 		"(C,D)": "{(C3,D1)}",
 	}
-	configs := []struct {
+	type config struct {
 		name string
-		run  func() *pattern.Result
-	}{
-		{"JoinMatchM", func() *pattern.Result { return pattern.JoinMatch(g, q, pattern.Options{Matrix: mx}) }},
-		{"JoinMatchC", func() *pattern.Result { return pattern.JoinMatch(g, q, pattern.Options{Cache: ca}) }},
-		{"SplitMatchM", func() *pattern.Result { return pattern.SplitMatch(g, q, pattern.Options{Matrix: mx}) }},
-		{"SplitMatchC", func() *pattern.Result { return pattern.SplitMatch(g, q, pattern.Options{Cache: ca}) }},
+		res  *pattern.Result
+	}
+	var configs []config
+	for _, b := range backendTable(g) {
+		opts := pattern.Options{Backend: b.be}
+		configs = append(configs,
+			config{"JoinMatch/" + b.name, pattern.JoinMatch(g, q, opts)},
+			config{"SplitMatch/" + b.name, pattern.SplitMatch(g, q, opts)})
 	}
 	for _, cfg := range configs {
-		res := cfg.run()
+		res := cfg.res
 		if res.Empty() {
 			t.Fatalf("%s: unexpected empty result", cfg.name)
 		}
@@ -127,7 +145,6 @@ func TestCyclicPattern(t *testing.T) {
 	g.AddEdge(x, y, "e")
 	g.AddEdge(y, x, "e")
 	g.AddEdge(z, x, "e")
-	mx := dist.NewMatrix(g)
 
 	q := pattern.New()
 	a := q.AddNode("A", predicate.MustParse("t = a"))
@@ -135,7 +152,7 @@ func TestCyclicPattern(t *testing.T) {
 	q.AddEdge(a, b, rex.MustParse("e"))
 	q.AddEdge(b, a, rex.MustParse("e"))
 
-	res := pattern.JoinMatch(g, q, pattern.Options{Matrix: mx})
+	res := pattern.JoinMatch(g, q, pattern.Options{Backend: dist.NewMatrix(g)})
 	if res.Empty() {
 		t.Fatal("cyclic pattern should match the 2-cycle")
 	}
@@ -152,19 +169,19 @@ func TestCyclicPattern(t *testing.T) {
 
 func TestEmptyWhenNoPath(t *testing.T) {
 	g := gen.Essembly()
-	mx := dist.NewMatrix(g)
 	q := pattern.New()
 	c := q.AddNode("C", predicate.MustParse("job = biologist"))
 	h := q.AddNode("H", predicate.MustParse("job = physician"))
 	// No biologist reaches the physician via fn edges.
 	q.AddEdge(c, h, rex.MustParse("fn"))
-	res := pattern.JoinMatch(g, q, pattern.Options{Matrix: mx})
-	if !res.Empty() {
-		t.Errorf("expected empty result, got %s", res.String(g))
-	}
-	res = pattern.SplitMatch(g, q, pattern.Options{Matrix: mx})
-	if !res.Empty() {
-		t.Error("SplitMatch should agree on emptiness")
+	for _, b := range backendTable(g) {
+		opts := pattern.Options{Backend: b.be}
+		if res := pattern.JoinMatch(g, q, opts); !res.Empty() {
+			t.Errorf("%s: expected empty result, got %s", b.name, res.String(g))
+		}
+		if res := pattern.SplitMatch(g, q, opts); !res.Empty() {
+			t.Errorf("%s: SplitMatch should agree on emptiness", b.name)
+		}
 	}
 }
 
@@ -200,8 +217,8 @@ func TestAsRQ(t *testing.T) {
 	g := gen.Essembly()
 	mx := dist.NewMatrix(g)
 	// The RQ answer must equal the PQ's single edge set.
-	res := pattern.JoinMatch(g, q, pattern.Options{Matrix: mx})
-	rqPairs := rq.EvalMatrix(g, mx)
+	res := pattern.JoinMatch(g, q, pattern.Options{Backend: mx})
+	rqPairs := rq.EvalBackend(g, mx)
 	if res.Empty() && len(rqPairs) > 0 {
 		t.Fatal("PQ empty but RQ non-empty")
 	}
@@ -333,31 +350,26 @@ func randomPattern(r *rand.Rand) *pattern.Query {
 	return q
 }
 
-// TestAlgorithmsAgreeWithReference is the central cross-validation: all
-// four configurations must produce exactly the reference semantics on
-// random graphs and random patterns (including cycles, self-loops,
-// wildcards and unbounded atoms).
+// TestAlgorithmsAgreeWithReference is the central cross-validation:
+// both algorithms on every backend must produce exactly the reference
+// semantics on random graphs and random patterns (including cycles,
+// self-loops, wildcards and unbounded atoms).
 func TestAlgorithmsAgreeWithReference(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		g := randomAttrGraph(r, 2+r.Intn(9), 1+r.Intn(22))
 		q := randomPattern(r)
-		mx := dist.NewMatrix(g)
-		ca := dist.NewCache(g, 128)
 		want := naiveEval(g, q)
-		for _, cfg := range []struct {
-			name string
-			got  *pattern.Result
-		}{
-			{"JoinMatchM", pattern.JoinMatch(g, q, pattern.Options{Matrix: mx})},
-			{"JoinMatchC", pattern.JoinMatch(g, q, pattern.Options{Cache: ca})},
-			{"JoinMatchPlain", pattern.JoinMatch(g, q, pattern.Options{})},
-			{"SplitMatchM", pattern.SplitMatch(g, q, pattern.Options{Matrix: mx})},
-			{"SplitMatchC", pattern.SplitMatch(g, q, pattern.Options{Cache: ca})},
-		} {
-			if !cfg.got.Equal(want) {
-				t.Logf("seed %d %s:\npattern %v\ngot  %s\nwant %s", seed, cfg.name, q, cfg.got.String(g), want.String(g))
-				return false
+		for _, b := range backendTable(g) {
+			opts := pattern.Options{Backend: b.be}
+			for name, got := range map[string]*pattern.Result{
+				"JoinMatch":  pattern.JoinMatch(g, q, opts),
+				"SplitMatch": pattern.SplitMatch(g, q, opts),
+			} {
+				if !got.Equal(want) {
+					t.Logf("seed %d %s/%s:\npattern %v\ngot  %s\nwant %s", seed, name, b.name, q, got.String(g), want.String(g))
+					return false
+				}
 			}
 		}
 		return true
@@ -370,8 +382,7 @@ func TestAlgorithmsAgreeWithReference(t *testing.T) {
 // TestResultSize checks the paper's answer-size metric.
 func TestResultSize(t *testing.T) {
 	g := gen.Essembly()
-	mx := dist.NewMatrix(g)
-	res := pattern.JoinMatch(g, essemblyQ2(), pattern.Options{Matrix: mx})
+	res := pattern.JoinMatch(g, essemblyQ2(), pattern.Options{Backend: dist.NewMatrix(g)})
 	// 2 + 2 + 2 + 1 + 1 pairs across the five edges.
 	if res.Size() != 8 {
 		t.Errorf("Size = %d, want 8", res.Size())

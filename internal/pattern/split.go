@@ -30,8 +30,7 @@ func SplitMatchCtx(ctx context.Context, g *graph.Graph, q *Query, opts Options) 
 	if q.NumEdges() == 0 {
 		return &Result{}, nil
 	}
-	useMatrix := opts.Matrix != nil
-	nq, chains, ok := normalize(g, q, useMatrix)
+	chains, ok := compile(g, q)
 	if !ok {
 		return &Result{}, nil
 	}
@@ -39,24 +38,19 @@ func SplitMatchCtx(ctx context.Context, g *graph.Graph, q *Query, opts Options) 
 	defer release()
 	unbind := s.BindContext(ctx)
 	defer unbind()
-	var ck checker
-	if useMatrix {
-		ck = &matrixChecker{mx: opts.Matrix, edges: nq.edges, s: s}
-	} else {
-		ck = &searchChecker{g: g, be: opts.distBackend(), chains: chains, scratch: s}
-	}
-	mats := initialMats(g, nq, opts.Cands, s)
+	ck := &searchChecker{g: g, be: opts.Backend, chains: chains, scratch: s}
+	mats := initialMats(g, q, opts.Cands, s)
 	if mats == nil {
 		return &Result{}, nil
 	}
 	defer releaseMats(mats, s)
-	st := newSplitState(g.NumNodes(), nq, mats)
+	st := newSplitState(g.NumNodes(), mats)
 
 	// Seed the worklist with every edge (Fig. 8 line 7 computes rmv for
 	// all edges up front).
-	queue := make([]int, 0, len(nq.edges))
-	queued := make([]bool, len(nq.edges))
-	for ei := range nq.edges {
+	queue := make([]int, 0, q.NumEdges())
+	queued := make([]bool, q.NumEdges())
+	for ei := range queued {
 		queue = append(queue, ei)
 		queued[ei] = true
 	}
@@ -67,16 +61,16 @@ func SplitMatchCtx(ctx context.Context, g *graph.Graph, q *Query, opts Options) 
 		ei := queue[0]
 		queue = queue[1:]
 		queued[ei] = false
-		e := nq.edges[ei]
+		e := q.Edge(ei)
 		// rmv(e): sources in mat(u') with no satisfying successor in
 		// mat(u). Computed against a scratch copy so the split machinery
 		// owns the actual removal.
-		src := &mats[e.from]
+		src := &mats[e.From]
 		work := newNodeSet(len(src.has), s)
 		for _, v := range src.members() {
 			work.add(v)
 		}
-		changed, nonEmpty := ck.refineSrc(ei, &work, &mats[e.to])
+		changed, nonEmpty := ck.refineSrc(ei, &work, &mats[e.To])
 		if !changed {
 			work.release(s)
 			continue
@@ -95,19 +89,19 @@ func SplitMatchCtx(ctx context.Context, g *graph.Graph, q *Query, opts Options) 
 		// Split every block of par against rmv, then drop the rmv-side
 		// blocks from rel(u') — which updates mat(u') (Fig. 8 lines 10-11).
 		st.split(rmv)
-		st.dropFromRel(e.from, rmv, mats)
+		st.dropFromRel(e.From, rmv, mats)
 		work.release(s)
 		s.Recycle(rmv)
 		// Propagate: edges into u' must recompute their rmv sets
 		// (Fig. 8 lines 12-14).
-		for _, ei2 := range nq.in[e.from] {
+		for _, ei2 := range q.In(e.From) {
 			if !queued[ei2] {
 				queue = append(queue, ei2)
 				queued[ei2] = true
 			}
 		}
 	}
-	res := collect(g, q, nq, chains, mats, opts, s)
+	res := collect(g, q, chains, mats, opts.Backend, s)
 	if s.Canceled() {
 		return nil, ctx.Err()
 	}
@@ -127,15 +121,15 @@ type splitState struct {
 // their signature — the set of pattern nodes whose initial match set
 // contains them — which generalizes the paper's B(u) initialization to
 // overlapping match sets while keeping par a true partition.
-func newSplitState(n int, nq *normQuery, mats []nodeSet) *splitState {
+func newSplitState(n int, mats []nodeSet) *splitState {
 	st := &splitState{
 		blockOf: make([]int, n),
-		rel:     make([]map[int]bool, len(nq.preds)),
+		rel:     make([]map[int]bool, len(mats)),
 	}
 	sigBlock := map[string]int{}
-	sig := make([]byte, len(nq.preds))
+	sig := make([]byte, len(mats))
 	for v := 0; v < n; v++ {
-		for u := range nq.preds {
+		for u := range mats {
 			if mats[u].has[v] {
 				sig[u] = '1'
 			} else {
@@ -152,7 +146,7 @@ func newSplitState(n int, nq *normQuery, mats []nodeSet) *splitState {
 		st.blockOf[v] = b
 		st.members[b] = append(st.members[b], v)
 	}
-	for u := range nq.preds {
+	for u := range mats {
 		st.rel[u] = map[int]bool{}
 		for _, v := range mats[u].members() {
 			st.rel[u][st.blockOf[v]] = true

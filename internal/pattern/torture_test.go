@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"testing"
 
-	"regraph/internal/dist"
 	"regraph/internal/graph"
 	"regraph/internal/pattern"
 	"regraph/internal/predicate"
@@ -12,29 +11,29 @@ import (
 )
 
 // Adversarial inputs: shapes that stress corner cases of the evaluators
-// rather than average behaviour. Every case must agree across all four
-// configurations (plus the plain search mode).
+// rather than average behaviour. Every case must agree across both
+// algorithms on every backend (plus the unordered fixpoint).
 
 func allConfigs(g *graph.Graph, q *pattern.Query) map[string]*pattern.Result {
-	mx := dist.NewMatrix(g)
-	ca := dist.NewCache(g, 256)
-	return map[string]*pattern.Result{
-		"JoinMatchM":  pattern.JoinMatch(g, q, pattern.Options{Matrix: mx}),
-		"JoinMatchC":  pattern.JoinMatch(g, q, pattern.Options{Cache: ca}),
-		"JoinPlain":   pattern.JoinMatch(g, q, pattern.Options{}),
-		"JoinNoTopo":  pattern.JoinMatch(g, q, pattern.Options{Matrix: mx, DisableTopoOrder: true}),
-		"SplitMatchM": pattern.SplitMatch(g, q, pattern.Options{Matrix: mx}),
-		"SplitMatchC": pattern.SplitMatch(g, q, pattern.Options{Cache: ca}),
+	res := map[string]*pattern.Result{}
+	for _, b := range backendTable(g) {
+		opts := pattern.Options{Backend: b.be}
+		res["JoinMatch/"+b.name] = pattern.JoinMatch(g, q, opts)
+		res["SplitMatch/"+b.name] = pattern.SplitMatch(g, q, opts)
+		opts.DisableTopoOrder = true
+		res["JoinNoTopo/"+b.name] = pattern.JoinMatch(g, q, opts)
 	}
+	return res
 }
 
+// assertAgree checks every configuration against JoinMatch with no
+// backend and returns that reference answer.
 func assertAgree(t *testing.T, g *graph.Graph, q *pattern.Query) *pattern.Result {
 	t.Helper()
-	res := allConfigs(g, q)
-	ref := res["JoinMatchM"]
-	for name, r := range res {
+	ref := pattern.JoinMatch(g, q, pattern.Options{})
+	for name, r := range allConfigs(g, q) {
 		if !r.Equal(ref) {
-			t.Fatalf("%s disagrees:\n%s\nvs JoinMatchM\n%s\npattern %v", name, r.String(g), ref.String(g), q)
+			t.Fatalf("%s disagrees:\n%s\nvs JoinMatch with no backend\n%s\npattern %v", name, r.String(g), ref.String(g), q)
 		}
 	}
 	return ref
@@ -218,8 +217,8 @@ func TestTortureWildcardOnlyPattern(t *testing.T) {
 	}
 }
 
-// TestTortureDeepNormalizationChain: a single edge with many atoms forces
-// a long dummy chain in matrix mode.
+// TestTortureDeepNormalizationChain: a single edge with many atoms is
+// one twelve-step closure on every backend.
 func TestTortureDeepNormalizationChain(t *testing.T) {
 	g := graph.New()
 	prev := g.AddNode("n0", map[string]string{"t": "start"})

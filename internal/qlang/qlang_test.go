@@ -37,7 +37,7 @@ func TestParsePattern(t *testing.T) {
 	// The parsed query must reproduce Example 2.3.
 	g := gen.Essembly()
 	mx := dist.NewMatrix(g)
-	res := pattern.JoinMatch(g, q, pattern.Options{Matrix: mx})
+	res := pattern.JoinMatch(g, q, pattern.Options{Backend: mx})
 	if res.Size() != 8 {
 		t.Errorf("parsed Q2 answer size = %d, want 8", res.Size())
 	}

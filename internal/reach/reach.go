@@ -8,13 +8,18 @@
 //
 // Evaluation methods:
 //
-//   - EvalMatrix: the quadratic-time method using the per-color distance
-//     matrix. The query is decomposed into single-atom RQs linked by dummy
-//     nodes, candidate sets are refined right-to-left, and pairs are then
-//     enumerated left-to-right through the refined layers.
-//   - EvalBFS: forward-only product search per source candidate.
-//   - EvalBiBFS: the bi-directional runtime search with an optional LRU
-//     distance cache, for graphs too large to hold a matrix.
+//   - EvalBackend / StreamBackend: the paper's methods over one distance
+//     backend (dist.Backend: the per-color distance Matrix, the LRU
+//     distance Cache, or TwoHop labels). A single-atom expression is a
+//     pairwise Backend.Sat ask over the candidate sets — one cell load
+//     on the matrix, a bounded bi-directional search on a cache miss. A
+//     longer expression is split in the middle: the prefix is pushed
+//     forward from every source candidate, the suffix backward from
+//     every destination candidate, and a pair is an answer when the two
+//     node sets meet. A nil backend uses the split search throughout.
+//   - EvalBFS / StreamBFS: forward-only product search per source
+//     candidate — the reference every backend's answers must equal, in
+//     order.
 package reach
 
 import (
@@ -109,82 +114,6 @@ func candsFrom(cs CandidateSource, g *graph.Graph, p predicate.Pred) (cands []gr
 	return *buf, func() { putCands(buf) }
 }
 
-// EvalMatrix evaluates the query with the distance matrix (Section 4,
-// "matrix-based method"). The expression is decomposed into its atoms
-// (each a single-color RQ over dummy nodes); candidate layers are refined
-// from the destination side back to the source side, then answer pairs are
-// enumerated forward through the refined layers.
-func (q Query) EvalMatrix(g *graph.Graph, mx *dist.Matrix) []Pair {
-	return q.EvalMatrixWith(g, mx, nil)
-}
-
-// EvalMatrixWith is EvalMatrix with candidate sets drawn from cs (an
-// inverted index or engine memo) instead of the linear node scan; nil
-// cs falls back to the scan. Answers are identical by the
-// CandidateSource contract.
-func (q Query) EvalMatrixWith(g *graph.Graph, mx *dist.Matrix, cs CandidateSource) []Pair {
-	var out []Pair
-	// A nil context disables every checkpoint, so the materializing path
-	// pays nothing for the shared streaming implementation.
-	_ = q.StreamMatrix(nil, g, mx, cs, func(p Pair) bool {
-		out = append(out, p)
-		return true
-	})
-	return out
-}
-
-// refineLayer returns the nodes in from that satisfy the atom towards some
-// node in to, using O(1) matrix lookups. The context probe runs every 256
-// sources — a refinement layer over all nodes is the matrix method's
-// longest uninterruptible stretch.
-func refineLayer(mx *dist.Matrix, a dist.CAtom, from, to []graph.NodeID, cc ctxCheck) ([]graph.NodeID, error) {
-	var out []graph.NodeID
-	for i, x := range from {
-		if i&255 == 255 {
-			if err := cc.err(); err != nil {
-				return nil, err
-			}
-		}
-		for _, y := range to {
-			if a.SatMatrix(mx, x, y) {
-				out = append(out, x)
-				break
-			}
-		}
-	}
-	return out, nil
-}
-
-// forwardImage walks the refined layers from a single source, returning
-// the destination-layer nodes reachable through every atom.
-func forwardImage(mx *dist.Matrix, atoms []dist.CAtom, x graph.NodeID, layers [][]graph.NodeID) []graph.NodeID {
-	frontier := []graph.NodeID{x}
-	for i, a := range atoms {
-		next := make([]graph.NodeID, 0, len(layers[i+1]))
-		for _, y := range layers[i+1] {
-			for _, z := range frontier {
-				if a.SatMatrix(mx, z, y) {
-					next = append(next, y)
-					break
-				}
-			}
-		}
-		if len(next) == 0 {
-			return nil
-		}
-		frontier = next
-	}
-	return frontier
-}
-
-func allNodes(g *graph.Graph) []graph.NodeID {
-	out := make([]graph.NodeID, g.NumNodes())
-	for i := range out {
-		out[i] = graph.NodeID(i)
-	}
-	return out
-}
-
 // EvalBFS evaluates the query by forward-only search: for every source
 // candidate the whole expression is pushed through the graph with
 // multi-source bounded BFS, and the resulting node set is intersected with
@@ -213,39 +142,6 @@ func (q Query) EvalBFSScratchWith(g *graph.Graph, s *dist.Scratch, cs CandidateS
 	return out
 }
 
-// EvalBiBFS evaluates the query with the bi-directional runtime search of
-// Section 4: the expression is split in the middle; the prefix is
-// evaluated forward from every source candidate and the suffix backward
-// from every destination candidate; a pair is an answer when its two node
-// sets intersect. When the expression is a single atom and a cache is
-// provided, distances come from the LRU cache instead.
-func (q Query) EvalBiBFS(g *graph.Graph, ca *dist.Cache) []Pair {
-	s := dist.GetScratch()
-	defer dist.PutScratch(s)
-	return q.EvalBiBFSScratch(g, ca, s)
-}
-
-// EvalBiBFSScratch is EvalBiBFS with an explicit search arena (the form
-// internal/engine workers call). Seeds, closure buffers and the retained
-// per-destination backward closures all come from s; in steady state a
-// repeated query allocates nothing but its answer slice.
-func (q Query) EvalBiBFSScratch(g *graph.Graph, ca *dist.Cache, s *dist.Scratch) []Pair {
-	return q.EvalBiBFSScratchWith(g, ca, s, nil)
-}
-
-// EvalBiBFSScratchWith is EvalBiBFSScratch with candidate sets drawn
-// from cs when non-nil (see CandidateSource) instead of the linear
-// scan — the form internal/engine workers call with the engine's
-// shared memo.
-func (q Query) EvalBiBFSScratchWith(g *graph.Graph, ca *dist.Cache, s *dist.Scratch, cs CandidateSource) []Pair {
-	var out []Pair
-	_ = q.StreamBiBFS(nil, g, ca, s, cs, func(p Pair) bool {
-		out = append(out, p)
-		return true
-	})
-	return out
-}
-
 // EvalBackend evaluates the query against any distance backend (see
 // dist.Backend and StreamBackend) with a pooled search arena.
 func (q Query) EvalBackend(g *graph.Graph, be dist.Backend) []Pair {
@@ -255,8 +151,8 @@ func (q Query) EvalBackend(g *graph.Graph, be dist.Backend) []Pair {
 }
 
 // EvalBackendScratchWith is EvalBackend with an explicit arena and
-// candidate source — the form engine workers call once a backend other
-// than the cache is selected.
+// candidate source (nil scans; see CandidateSource). In steady state a
+// repeated query allocates nothing but its answer slice.
 func (q Query) EvalBackendScratchWith(g *graph.Graph, be dist.Backend, s *dist.Scratch, cs CandidateSource) []Pair {
 	var out []Pair
 	_ = q.StreamBackend(nil, g, be, s, cs, func(p Pair) bool {
@@ -264,20 +160,4 @@ func (q Query) EvalBackendScratchWith(g *graph.Graph, be dist.Backend, s *dist.S
 		return true
 	})
 	return out
-}
-
-// Matches reports whether the single pair (v1, v2) is an answer, using
-// the provided matrix when non-nil and bi-directional search otherwise.
-func (q Query) Matches(g *graph.Graph, mx *dist.Matrix, v1, v2 graph.NodeID) bool {
-	if !q.From.Eval(g.Attrs(v1)) || !q.To.Eval(g.Attrs(v2)) {
-		return false
-	}
-	atoms, ok := dist.Compile(g, q.Expr)
-	if !ok {
-		return false
-	}
-	if mx != nil {
-		return dist.ReachMatrix(g, mx, atoms, v1, v2)
-	}
-	return dist.BiReach(g, atoms, v1, v2)
 }

@@ -3,6 +3,7 @@ package reach_test
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
 	"runtime"
 	"runtime/debug"
 	"sort"
@@ -17,6 +18,24 @@ import (
 	"regraph/internal/reach"
 	"regraph/internal/rex"
 )
+
+// backendTable is the backend input of the cross-checks: every
+// evaluator answer must be the same whichever backend serves it, or
+// none.
+func backendTable(g *graph.Graph) []struct {
+	name string
+	be   dist.Backend
+} {
+	return []struct {
+		name string
+		be   dist.Backend
+	}{
+		{"none", nil},
+		{"matrix", dist.NewMatrix(g)},
+		{"cache", dist.NewCache(g, 256)},
+		{"twohop", dist.NewTwoHop(g)},
+	}
+}
 
 func pairsString(ps []reach.Pair, g *graph.Graph) string {
 	ss := make([]string, len(ps))
@@ -37,15 +56,13 @@ func TestExample22Q1(t *testing.T) {
 		rex.MustParse("fa{2} fn"),
 	)
 	want := "[C1->B1 C1->B2 C2->B1 C2->B2]"
-	mx := dist.NewMatrix(g)
-	if got := pairsString(q.EvalMatrix(g, mx), g); got != want {
-		t.Errorf("EvalMatrix = %v, want %v", got, want)
-	}
 	if got := pairsString(q.EvalBFS(g), g); got != want {
 		t.Errorf("EvalBFS = %v, want %v", got, want)
 	}
-	if got := pairsString(q.EvalBiBFS(g, dist.NewCache(g, 128)), g); got != want {
-		t.Errorf("EvalBiBFS = %v, want %v", got, want)
+	for _, b := range backendTable(g) {
+		if got := pairsString(q.EvalBackend(g, b.be), g); got != want {
+			t.Errorf("%s: EvalBackend = %v, want %v", b.name, got, want)
+		}
 	}
 }
 
@@ -57,13 +74,11 @@ func TestSingleColorRQ(t *testing.T) {
 		predicate.MustParse("job = doctor"),
 		rex.MustParse("fn"),
 	)
-	mx := dist.NewMatrix(g)
 	want := "[C3->B1 C3->B2]"
-	if got := pairsString(q.EvalMatrix(g, mx), g); got != want {
-		t.Errorf("EvalMatrix = %v, want %v", got, want)
-	}
-	if got := pairsString(q.EvalBiBFS(g, dist.NewCache(g, 16)), g); got != want {
-		t.Errorf("EvalBiBFS(cache) = %v, want %v", got, want)
+	for _, b := range backendTable(g) {
+		if got := pairsString(q.EvalBackend(g, b.be), g); got != want {
+			t.Errorf("%s: EvalBackend = %v, want %v", b.name, got, want)
+		}
 	}
 }
 
@@ -75,15 +90,15 @@ func TestUnboundedRQ(t *testing.T) {
 		predicate.MustParse("job = biologist"),
 		rex.MustParse("fa+"),
 	)
-	mx := dist.NewMatrix(g)
-	got := pairsString(q.EvalMatrix(g, mx), g)
 	// All of C1, C2, C3 are on an fa cycle, so all 9 ordered pairs match.
 	want := "[C1->C1 C1->C2 C1->C3 C2->C1 C2->C2 C2->C3 C3->C1 C3->C2 C3->C3]"
-	if got != want {
-		t.Errorf("EvalMatrix = %v, want %v", got, want)
-	}
 	if got := pairsString(q.EvalBFS(g), g); got != want {
 		t.Errorf("EvalBFS = %v, want %v", got, want)
+	}
+	for _, b := range backendTable(g) {
+		if got := pairsString(q.EvalBackend(g, b.be), g); got != want {
+			t.Errorf("%s: EvalBackend = %v, want %v", b.name, got, want)
+		}
 	}
 }
 
@@ -94,30 +109,33 @@ func TestEmptyCandidates(t *testing.T) {
 		predicate.MustParse("job = doctor"),
 		rex.MustParse("fn"),
 	)
-	mx := dist.NewMatrix(g)
-	if got := q.EvalMatrix(g, mx); len(got) != 0 {
-		t.Errorf("no-candidate query returned %v", got)
-	}
 	if got := q.EvalBFS(g); len(got) != 0 {
 		t.Errorf("no-candidate EvalBFS returned %v", got)
+	}
+	for _, b := range backendTable(g) {
+		if got := q.EvalBackend(g, b.be); len(got) != 0 {
+			t.Errorf("%s: no-candidate query returned %v", b.name, got)
+		}
 	}
 }
 
 func TestUnknownColor(t *testing.T) {
 	g := gen.Essembly()
 	q := reach.New(predicate.Pred{}, predicate.Pred{}, rex.MustParse("zz"))
-	mx := dist.NewMatrix(g)
-	if got := q.EvalMatrix(g, mx); len(got) != 0 {
-		t.Errorf("unknown color returned %v", got)
+	if got := q.EvalBFS(g); len(got) != 0 {
+		t.Errorf("unknown color EvalBFS returned %v", got)
 	}
-	if got := q.EvalBiBFS(g, nil); len(got) != 0 {
-		t.Errorf("unknown color EvalBiBFS returned %v", got)
+	for _, b := range backendTable(g) {
+		if got := q.EvalBackend(g, b.be); len(got) != 0 {
+			t.Errorf("%s: unknown color returned %v", b.name, got)
+		}
 	}
 }
 
+// TestMatchesPair: single pairs are answers exactly when both
+// predicates hold and a path matches, on every backend.
 func TestMatchesPair(t *testing.T) {
 	g := gen.Essembly()
-	mx := dist.NewMatrix(g)
 	q := reach.New(
 		predicate.MustParse("job = biologist"),
 		predicate.MustParse("job = doctor"),
@@ -126,18 +144,28 @@ func TestMatchesPair(t *testing.T) {
 	c1, _ := g.NodeByName("C1")
 	c3, _ := g.NodeByName("C3")
 	b1, _ := g.NodeByName("B1")
-	if !q.Matches(g, mx, c1, b1) {
+	d1, _ := g.NodeByName("D1")
+	atoms, _ := dist.Compile(g, q.Expr)
+	if !dist.BiReach(g, atoms, c1, b1) {
 		t.Error("C1->B1 should match fa{2}fn")
 	}
-	if q.Matches(g, mx, c3, b1) {
+	if dist.BiReach(g, atoms, c3, b1) {
 		t.Error("C3->B1 should not match fa{2}fn (needs fa block first)")
 	}
-	if !q.Matches(g, nil, c1, b1) {
-		t.Error("C1->B1 should match without a matrix too")
-	}
-	d1, _ := g.NodeByName("D1")
-	if q.Matches(g, mx, d1, b1) {
-		t.Error("D1 fails the source predicate")
+	for _, b := range backendTable(g) {
+		answers := map[reach.Pair]bool{}
+		for _, p := range q.EvalBackend(g, b.be) {
+			answers[p] = true
+		}
+		if !answers[reach.Pair{From: c1, To: b1}] {
+			t.Errorf("%s: C1->B1 missing", b.name)
+		}
+		if answers[reach.Pair{From: c3, To: b1}] {
+			t.Errorf("%s: C3->B1 answered without a matching path", b.name)
+		}
+		if answers[reach.Pair{From: d1, To: b1}] {
+			t.Errorf("%s: D1 fails the source predicate", b.name)
+		}
 	}
 }
 
@@ -189,22 +217,35 @@ func randomRQ(r *rand.Rand) reach.Query {
 	)
 }
 
-// TestEvalMethodsAgree is the central cross-validation: the three
-// evaluation strategies must return identical answer sets on random
-// graphs and random queries (including unbounded atoms and wildcards).
+// agreesWithBFS reports whether every backend of g's table answers q
+// exactly as EvalBFS does, pair for pair and in the same order.
+func agreesWithBFS(t *testing.T, g *graph.Graph, backends []struct {
+	name string
+	be   dist.Backend
+}, q reach.Query) bool {
+	t.Helper()
+	want := q.EvalBFS(g)
+	for _, b := range backends {
+		if got := q.EvalBackend(g, b.be); !reflect.DeepEqual(got, want) {
+			t.Logf("query %v: %s = %v, EvalBFS = %v", q, b.name, got, want)
+			return false
+		}
+	}
+	return true
+}
+
+// TestEvalMethodsAgree is the central cross-validation: every backend
+// must return EvalBFS's answer, in order, on random graphs and random
+// queries (including unbounded atoms and wildcards), and on a chain
+// long enough to saturate matrix cells.
 func TestEvalMethodsAgree(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		g := randomAttrGraph(r, 2+r.Intn(14), 1+r.Intn(40))
-		mx := dist.NewMatrix(g)
-		ca := dist.NewCache(g, 256)
+		backends := backendTable(g)
 		for k := 0; k < 4; k++ {
-			q := randomRQ(r)
-			a := pairsString(q.EvalMatrix(g, mx), g)
-			b := pairsString(q.EvalBFS(g), g)
-			c := pairsString(q.EvalBiBFS(g, ca), g)
-			if a != b || b != c {
-				t.Logf("seed %d query %v:\n matrix=%v\n bfs=%v\n bibfs=%v", seed, q, a, b, c)
+			if !agreesWithBFS(t, g, backends, randomRQ(r)) {
+				t.Logf("seed %d", seed)
 				return false
 			}
 		}
@@ -213,21 +254,44 @@ func TestEvalMethodsAgree(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Error(err)
 	}
+
+	// A 300-node chain of "a" edges with a "b" shortcut back to its
+	// start: distances along it reach past the matrix's 255 saturation
+	// point, so bounds on either side of it must decide alike.
+	g := graph.New()
+	for i := 0; i < 300; i++ {
+		g.AddNode(fmt.Sprintf("n%d", i), map[string]string{"t": fmt.Sprint(i % 3), "w": fmt.Sprint(i % 5)})
+	}
+	for i := 0; i+1 < 300; i++ {
+		g.AddEdge(graph.NodeID(i), graph.NodeID(i+1), "a")
+	}
+	g.AddEdge(299, 0, "b")
+	backends := backendTable(g)
+	for _, expr := range []string{"a{254}", "a{255}", "a{256}", "a{298}", "a{299}", "a+", "a{200} a{60}", "a{254} b", "a+ b a{2}", "b a{255}", "_{300}"} {
+		for _, preds := range [][2]string{{"t = 0, w = 0", "w > 2"}, {"w = 1", "t = 2, w < 3"}} {
+			q := reach.New(predicate.MustParse(preds[0]), predicate.MustParse(preds[1]), rex.MustParse(expr))
+			if !agreesWithBFS(t, g, backends, q) {
+				t.Fatalf("long chain: %v", q)
+			}
+		}
+	}
 }
 
-// TestEvalMatrixPairsAreSound: every returned pair must individually pass
-// Matches, and node predicates must hold.
+// TestEvalMatrixPairsAreSound: every pair the matrix backend returns
+// must satisfy both node predicates and have a matching path, by
+// runtime search.
 func TestEvalMatrixPairsAreSound(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		g := randomAttrGraph(r, 2+r.Intn(10), 1+r.Intn(25))
 		mx := dist.NewMatrix(g)
 		q := randomRQ(r)
-		for _, p := range q.EvalMatrix(g, mx) {
+		atoms, _ := dist.Compile(g, q.Expr)
+		for _, p := range q.EvalBackend(g, mx) {
 			if !q.From.Eval(g.Attrs(p.From)) || !q.To.Eval(g.Attrs(p.To)) {
 				return false
 			}
-			if !q.Matches(g, mx, p.From, p.To) {
+			if !dist.BiReach(g, atoms, p.From, p.To) {
 				return false
 			}
 		}
@@ -254,16 +318,18 @@ func TestEvalScratchVariantsAgree(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		g := randomAttrGraph(r, 2+r.Intn(14), 1+r.Intn(40))
-		ca := dist.NewCache(g, 256)
+		backends := backendTable(g)
 		for k := 0; k < 4; k++ {
 			q := randomRQ(r)
 			if a, b := pairsString(q.EvalBFS(g), g), pairsString(q.EvalBFSScratch(g, s), g); a != b {
 				t.Logf("seed %d query %v: EvalBFS=%v scratch=%v", seed, q, a, b)
 				return false
 			}
-			if a, b := pairsString(q.EvalBiBFS(g, ca), g), pairsString(q.EvalBiBFSScratch(g, ca, s), g); a != b {
-				t.Logf("seed %d query %v: EvalBiBFS=%v scratch=%v", seed, q, a, b)
-				return false
+			for _, be := range backends {
+				if a, b := pairsString(q.EvalBackend(g, be.be), g), pairsString(q.EvalBackendScratchWith(g, be.be, s, nil), g); a != b {
+					t.Logf("seed %d query %v: %s EvalBackend=%v scratch=%v", seed, q, be.name, a, b)
+					return false
+				}
 			}
 		}
 		return true
@@ -274,9 +340,9 @@ func TestEvalScratchVariantsAgree(t *testing.T) {
 }
 
 // TestEvalBiBFSAllocRegression pins the allocation win of the scratch
-// arenas (ISSUE 2 / the ROADMAP's closure-allocation open item): on a
-// fixed graph, a repeated multi-atom EvalBiBFS must stay within a small
-// constant number of allocations per run. Before the arenas, every run
+// arenas: on a fixed graph, a repeated multi-atom bi-directional search
+// (EvalBackend with no backend, and with the matrix) must stay within a
+// small constant number of allocations per run. Before the arenas, every run
 // allocated one seed bitset per candidate plus three buffers per
 // closure step — hundreds of allocations on this workload.
 func TestEvalBiBFSAllocRegression(t *testing.T) {
@@ -293,18 +359,24 @@ func TestEvalBiBFSAllocRegression(t *testing.T) {
 		predicate.MustParse("a1 = 7"),
 		rex.MustParse("c0{2} c1{2}"),
 	)
-	if n := len(q.EvalBiBFS(g, nil)); n == 0 {
+	if n := len(q.EvalBackend(g, nil)); n == 0 {
 		t.Fatal("workload found no pairs; allocation numbers would be vacuous")
 	}
 
 	// Dedicated arena: in steady state nothing but the answer slice (and
 	// its append growth) may allocate.
 	s := dist.NewScratch()
-	sink := q.EvalBiBFSScratch(g, nil, s)
-	if got := testing.AllocsPerRun(20, func() {
-		sink = q.EvalBiBFSScratch(g, nil, s)
-	}); got > 12 {
-		t.Errorf("EvalBiBFSScratch allocates %.0f/run, want <= 12", got)
+	var sink []reach.Pair
+	for _, b := range []struct {
+		name string
+		be   dist.Backend
+	}{{"none", nil}, {"matrix", dist.NewMatrix(g)}} {
+		sink = q.EvalBackendScratchWith(g, b.be, s, nil)
+		if got := testing.AllocsPerRun(20, func() {
+			sink = q.EvalBackendScratchWith(g, b.be, s, nil)
+		}); got > 12 {
+			t.Errorf("%s: EvalBackendScratchWith allocates %.0f/run, want <= 12", b.name, got)
+		}
 	}
 
 	// Pooled entry point: the bound is looser because sync.Pool
@@ -313,9 +385,9 @@ func TestEvalBiBFSAllocRegression(t *testing.T) {
 	// must stay an order of magnitude below the ~918/run this workload
 	// cost before the arenas existed.
 	if got := testing.AllocsPerRun(20, func() {
-		sink = q.EvalBiBFS(g, nil)
+		sink = q.EvalBackend(g, nil)
 	}); got > 64 {
-		t.Errorf("EvalBiBFS allocates %.0f/run, want <= 64", got)
+		t.Errorf("EvalBackend allocates %.0f/run, want <= 64", got)
 	}
 	_ = sink
 }
@@ -414,7 +486,7 @@ func TestJoinMatchCacheAllocsFlatInV(t *testing.T) {
 	pq.AddEdge(s0, d1, rex.MustParse("_{3}"))
 	measure := func(pad int) (uint64, uint64, int) {
 		g := paddedGraph(pad)
-		opts := pattern.Options{Cache: dist.NewCache(g, 1<<14), Scratch: dist.NewScratch()}
+		opts := pattern.Options{Backend: dist.NewCache(g, 1<<14), Scratch: dist.NewScratch()}
 		var res *pattern.Result
 		allocs, bytes := perRun(10, func() { res = pattern.JoinMatch(g, pq, opts) })
 		return allocs, bytes, res.Size()

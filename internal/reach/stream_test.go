@@ -12,13 +12,11 @@ import (
 )
 
 // TestStreamEquivalence: for random queries, the streamed pair sequence
-// of every method equals its materialized evaluator's answer exactly
-// (same pairs, same order), and an early-stopping yield sees a strict
-// prefix.
+// of every method equals EvalBFS's answer exactly (same pairs, same
+// order), and an early-stopping yield sees a strict prefix.
 func TestStreamEquivalence(t *testing.T) {
 	g := gen.Synthetic(4, 250, 1000, 3, gen.DefaultColors)
-	mx := dist.NewMatrix(g)
-	ca := dist.NewCache(g, 1<<12)
+	backends := backendTable(g)
 	s := dist.NewScratch()
 	r := rand.New(rand.NewSource(8))
 
@@ -36,107 +34,68 @@ func TestStreamEquivalence(t *testing.T) {
 	for i := 0; i < 40; i++ {
 		q := gen.RQ(g, 2, 3, 1+r.Intn(3), r)
 
-		wantMx := q.EvalMatrix(g, mx)
-		gotMx := collect(func(y func(reach.Pair) bool) error {
-			return q.StreamMatrix(context.Background(), g, mx, nil, y)
-		})
-		if !reflect.DeepEqual(wantMx, gotMx) {
-			t.Fatalf("query %d: StreamMatrix differs from EvalMatrix", i)
-		}
-
-		wantBi := q.EvalBiBFSScratch(g, ca, s)
-		gotBi := collect(func(y func(reach.Pair) bool) error {
-			return q.StreamBiBFS(context.Background(), g, ca, s, nil, y)
-		})
-		if !reflect.DeepEqual(wantBi, gotBi) {
-			t.Fatalf("query %d: StreamBiBFS differs from EvalBiBFSScratch", i)
-		}
-
-		wantBFS := q.EvalBFSScratch(g, s)
+		want := q.EvalBFSScratch(g, s)
 		gotBFS := collect(func(y func(reach.Pair) bool) error {
 			return q.StreamBFS(context.Background(), g, s, nil, y)
 		})
-		if !reflect.DeepEqual(wantBFS, gotBFS) {
+		if !reflect.DeepEqual(want, gotBFS) {
 			t.Fatalf("query %d: StreamBFS differs from EvalBFSScratch", i)
 		}
 
-		// Early stop: the first k yielded pairs are the answer's prefix.
-		if len(wantMx) > 1 {
-			k := 1 + r.Intn(len(wantMx)-1)
-			var prefix []reach.Pair
-			err := q.StreamMatrix(context.Background(), g, mx, nil, func(p reach.Pair) bool {
-				prefix = append(prefix, p)
-				return len(prefix) < k
+		for _, b := range backends {
+			got := collect(func(y func(reach.Pair) bool) error {
+				return q.StreamBackend(context.Background(), g, b.be, s, nil, y)
 			})
-			if err != nil {
-				t.Fatal(err)
+			if !reflect.DeepEqual(want, got) {
+				t.Fatalf("query %d: %s: StreamBackend differs from EvalBFS", i, b.name)
 			}
-			if !reflect.DeepEqual(prefix, wantMx[:k]) {
-				t.Fatalf("query %d: early-stopped stream is not a prefix", i)
+
+			// Early stop: the first k yielded pairs are the answer's prefix.
+			if len(want) > 1 {
+				k := 1 + r.Intn(len(want)-1)
+				var prefix []reach.Pair
+				err := q.StreamBackend(context.Background(), g, b.be, s, nil, func(p reach.Pair) bool {
+					prefix = append(prefix, p)
+					return len(prefix) < k
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !reflect.DeepEqual(prefix, want[:k]) {
+					t.Fatalf("query %d: %s: early-stopped stream is not a prefix", i, b.name)
+				}
 			}
 		}
 	}
 }
 
 // TestStreamCancelled: a dead context surfaces as the stream's error on
-// every method.
+// every method and backend.
 func TestStreamCancelled(t *testing.T) {
 	g := gen.Synthetic(4, 250, 1000, 3, gen.DefaultColors)
-	mx := dist.NewMatrix(g)
 	ca := dist.NewCache(g, 1<<12)
 	s := dist.NewScratch()
-	q := gen.RQ(g, 1, 3, 2, rand.New(rand.NewSource(3)))
+	r := rand.New(rand.NewSource(3))
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 
 	yield := func(reach.Pair) bool { return true }
-	if err := q.StreamMatrix(ctx, g, mx, nil, yield); err != context.Canceled {
-		t.Errorf("StreamMatrix: err = %v", err)
-	}
-	if err := q.StreamBiBFS(ctx, g, ca, s, nil, yield); err != context.Canceled {
-		t.Errorf("StreamBiBFS: err = %v", err)
-	}
-	if err := q.StreamBFS(ctx, g, s, nil, yield); err != context.Canceled {
-		t.Errorf("StreamBFS: err = %v", err)
-	}
-	// The arena must come back unbound for later evaluations.
-	if got := q.EvalBiBFSScratch(g, ca, s); !reflect.DeepEqual(got, q.EvalBiBFS(g, dist.NewCache(g, 1<<12))) {
-		t.Error("post-cancel evaluation differs")
-	}
-}
-
-// TestPairsIterators: the iter.Seq adapters range over exactly the
-// materialized answer and honor break.
-func TestPairsIterators(t *testing.T) {
-	g := gen.Synthetic(4, 200, 800, 3, gen.DefaultColors)
-	mx := dist.NewMatrix(g)
-	ca := dist.NewCache(g, 1<<12)
-	s := dist.NewScratch()
-	r := rand.New(rand.NewSource(5))
-	var q reach.Query
-	var want []reach.Pair
-	for range 50 { // find a query with a few answers
-		q = gen.RQ(g, 1, 3, 1+r.Intn(2), r)
-		if want = q.EvalMatrix(g, mx); len(want) >= 2 {
-			break
+	for _, atoms := range []int{1, 2} {
+		q := gen.RQ(g, 1, 3, atoms, r)
+		if len(q.EvalBFS(g)) == 0 {
+			t.Fatalf("%d-atom query has no answers; the cancellation check would be vacuous", atoms)
 		}
-	}
-	if len(want) < 2 {
-		t.Skip("no multi-answer query found")
-	}
-	var got []reach.Pair
-	for p := range q.PairsMatrix(context.Background(), g, mx, nil) {
-		got = append(got, p)
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Errorf("PairsMatrix: got %v, want %v", got, want)
-	}
-	got = nil
-	for p := range q.PairsBiBFS(context.Background(), g, ca, s, nil) {
-		got = append(got, p)
-		break
-	}
-	if len(got) != 1 || got[0] != want[0] {
-		t.Errorf("PairsBiBFS with break: got %v, want first pair %v", got, want[0])
+		for _, b := range backendTable(g) {
+			if err := q.StreamBackend(ctx, g, b.be, s, nil, yield); err != context.Canceled {
+				t.Errorf("%d atoms, %s: StreamBackend: err = %v", atoms, b.name, err)
+			}
+		}
+		if err := q.StreamBFS(ctx, g, s, nil, yield); err != context.Canceled {
+			t.Errorf("%d atoms: StreamBFS: err = %v", atoms, err)
+		}
+		// The arena must come back unbound for later evaluations.
+		if got := q.EvalBackendScratchWith(g, ca, s, nil); !reflect.DeepEqual(got, q.EvalBackend(g, dist.NewCache(g, 1<<12))) {
+			t.Errorf("%d atoms: post-cancel evaluation differs", atoms)
+		}
 	}
 }

@@ -8,9 +8,9 @@
 //
 //   - Reachability queries (RQ): source/destination predicates plus a path
 //     constraint from the restricted regular-expression subclass
-//     F ::= c | c{k} | c+ | F F, evaluated with a per-color distance
-//     matrix (quadratic time) or bi-directional search with an LRU
-//     distance cache.
+//     F ::= c | c{k} | c+ | F F, evaluated over one distance backend —
+//     a per-color distance matrix, an LRU distance cache over
+//     bi-directional search, or 2-hop labels.
 //   - Graph pattern queries (PQ): pattern graphs whose every edge is an
 //     RQ, matched under the paper's revised graph simulation; two
 //     cubic-time evaluation algorithms, JoinMatch and SplitMatch.
@@ -76,7 +76,8 @@ type (
 	PQ = pattern.Query
 	// PQResult is a pattern query answer: one pair set per pattern edge.
 	PQResult = pattern.Result
-	// EvalOptions selects matrix-backed or search-backed evaluation.
+	// EvalOptions selects the distance backend of pattern evaluation
+	// (Backend: a Matrix, Cache or TwoHop; nil for search only).
 	EvalOptions = pattern.Options
 	// Regex is a subclass-F regular expression.
 	Regex = rex.Expr
@@ -106,9 +107,10 @@ type (
 // Candidate-index types (see NewCandidateIndex / NewCandidateMemo).
 type (
 	// CandidateSource supplies predicate candidate sets to the
-	// evaluators (RQ.EvalMatrixWith and friends, EvalOptions.Cands)
-	// without scanning all nodes. CandidateIndex and CandidateMemo
-	// implement it; answers must be identical to the linear scan's.
+	// evaluators (RQ.EvalBackendScratchWith, RQ.EvalBFSScratchWith,
+	// EvalOptions.Cands) without scanning all nodes. CandidateIndex and
+	// CandidateMemo implement it; answers must be identical to the
+	// linear scan's.
 	CandidateSource = reach.CandidateSource
 	// CandidateIndex is the per-graph attribute inverted index: sorted
 	// posting columns split into numeric and lexicographic value
@@ -300,8 +302,8 @@ var ErrEngineOptions = engine.ErrOptions
 
 // NewCandidateIndex builds the attribute inverted index for the
 // graph's current state. Pass it (or a CandidateMemo) to
-// RQ.EvalMatrixWith / RQ.EvalBFSScratchWith / RQ.EvalBiBFSScratchWith
-// or EvalOptions.Cands to replace every O(|V|) predicate scan with an
+// RQ.EvalBackendScratchWith / RQ.EvalBFSScratchWith or
+// EvalOptions.Cands to replace every O(|V|) predicate scan with an
 // indexed lookup; candidate sets are bit-identical to the scan's.
 func NewCandidateIndex(g *Graph) *CandidateIndex { return candidx.Build(g) }
 
@@ -312,7 +314,7 @@ func NewCandidateIndex(g *Graph) *CandidateIndex { return candidx.Build(g) }
 func NewCandidateMemo(g *Graph) *CandidateMemo { return candidx.NewMemo(g) }
 
 // NewScratch returns an empty search arena. The scratch-accepting
-// evaluation APIs (RQ.EvalBFSScratch, RQ.EvalBiBFSScratch,
+// evaluation APIs (RQ.EvalBFSScratch, RQ.EvalBackendScratchWith,
 // ForwardClosureScratch, EvalOptions.Scratch) draw every BFS buffer,
 // seed bitset and closure frontier from it instead of the heap, so one
 // goroutine evaluating queries back to back allocates only answers. A
@@ -343,9 +345,9 @@ func BackwardClosureScratch(g *Graph, dst []bool, atoms []CAtom, s *Scratch) []b
 }
 
 // JoinMatch evaluates a pattern query with the join-based algorithm of
-// Section 5.1. Pass EvalOptions{Matrix: m} for the quadratic-lookup
-// configuration or EvalOptions{Cache: c} (or zero options) for runtime
-// search.
+// Section 5.1. Pass EvalOptions{Backend: m} with a Matrix for O(1)
+// single-atom checks, EvalOptions{Backend: c} with a Cache (or zero
+// options) for runtime search; answers are the same.
 func JoinMatch(g *Graph, q *PQ, opts EvalOptions) *PQResult {
 	return pattern.JoinMatch(g, q, opts)
 }

@@ -18,7 +18,7 @@ func TestFacadeEndToEnd(t *testing.T) {
 		To:   regraph.MustPredicate("job = doctor"),
 		Expr: regraph.MustRegex("fa{2} fn"),
 	}
-	pairs := q1.EvalMatrix(g, mx)
+	pairs := q1.EvalBackend(g, mx)
 	if len(pairs) != 4 {
 		t.Fatalf("Q1 returned %d pairs, want 4", len(pairs))
 	}
@@ -30,7 +30,7 @@ func TestFacadeEndToEnd(t *testing.T) {
 	d := q2.AddNode("D", regraph.MustPredicate("uid = Alice001"))
 	q2.AddEdge(c, b, regraph.MustRegex("fn"))
 	q2.AddEdge(b, d, regraph.MustRegex("fn"))
-	res := regraph.JoinMatch(g, q2, regraph.EvalOptions{Matrix: mx})
+	res := regraph.JoinMatch(g, q2, regraph.EvalOptions{Backend: mx})
 	if res.Empty() {
 		t.Fatal("pattern should match")
 	}
@@ -107,7 +107,7 @@ func TestFacadeExtensions(t *testing.T) {
 		To:   regraph.MustPredicate("job = doctor"),
 		Expr: regraph.MustRegex("sn"),
 	}
-	if pairs := rq.EvalBiBFS(g2, ca); len(pairs) != 0 {
+	if pairs := rq.EvalBackend(g2, ca); len(pairs) != 0 {
 		t.Errorf("no sn path from Alice to a doctor; got %v", pairs)
 	}
 }
@@ -128,7 +128,7 @@ func TestFacadeGenerators(t *testing.T) {
 	g.AddEdge(a, b, "e")
 	ca := regraph.NewCache(g, 16)
 	q := regraph.RQ{Expr: regraph.MustRegex("e")}
-	if got := q.EvalBiBFS(g, ca); len(got) != 1 {
+	if got := q.EvalBackend(g, ca); len(got) != 1 {
 		t.Errorf("cache-backed RQ = %v", got)
 	}
 }
