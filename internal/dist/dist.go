@@ -85,19 +85,18 @@ func (a CAtom) searchBound(n int) int32 {
 // from s, and the work is proportional to the nodes and edges visited.
 // A cancelled search leaves out untouched.
 //
-// The adjacency loops scan g.Out/g.In directly — never the graph's lazy
-// per-color index, so concurrent readers stay race-free — and are
-// written inline rather than through visitor callbacks: the escaping
-// closures were the dominant per-query allocation (one closure plus
-// capture cells per BFS), and this is the innermost loop of every
-// runtime-search evaluation.
+// Both loops scan only the atom's color layer, in the graph's immutable
+// CSR, and are written inline rather than through visitor callbacks:
+// the escaping closures were the dominant per-query allocation (one
+// closure plus capture cells per BFS), and this is the innermost loop of
+// every runtime-search evaluation.
 func boundedImage(g *graph.Graph, src []graph.NodeID, a CAtom, forward bool, out []bool, outIDs []graph.NodeID, s *Scratch) []graph.NodeID {
 	n := g.NumNodes()
 	limit := int32(n) // paths beyond |V| hops revisit a node
 	if a.Max != rex.Unbounded && a.Max < n {
 		limit = int32(a.Max)
 	}
-	c := a.Color
+	adj := g.Layer(a.Color, forward)
 	// Multi-source BFS from src; d holds the shortest distance from the
 	// set (0 on the sources themselves), and queue lists every node d
 	// has set, sources first.
@@ -120,19 +119,10 @@ func boundedImage(g *graph.Graph, src []graph.NodeID, a CAtom, forward bool, out
 		if dv >= limit {
 			continue
 		}
-		var edges []graph.Edge
-		if forward {
-			edges = g.Out(v)
-		} else {
-			edges = g.In(v)
-		}
-		for _, e := range edges {
-			if c != graph.AnyColor && e.Color != c {
-				continue
-			}
-			if w := e.To; d[w] == graph.Unreachable {
+		for _, w := range adj.Row(v) {
+			if d[w] == graph.Unreachable {
 				d[w] = dv + 1
-				queue = append(queue, w)
+				queue = append(queue, graph.NodeID(w))
 			}
 		}
 	}
@@ -144,19 +134,11 @@ func boundedImage(g *graph.Graph, src []graph.NodeID, a CAtom, forward bool, out
 	// Source nodes have d = 0, but the atom requires a non-empty path:
 	// the shortest one ends with an edge from some reached node, so it is
 	// 1 + min over the node's in-neighbors (over this layer) of d.
+	back := g.Layer(a.Color, !forward)
 	for _, v := range src {
 		best := graph.Unreachable
-		var edges []graph.Edge
-		if forward {
-			edges = g.In(v)
-		} else {
-			edges = g.Out(v)
-		}
-		for _, e := range edges {
-			if c != graph.AnyColor && e.Color != c {
-				continue
-			}
-			if dp := d[e.To]; dp != graph.Unreachable && (best == graph.Unreachable || dp+1 < best) {
+		for _, w := range back.Row(v) {
+			if dp := d[w]; dp != graph.Unreachable && (best == graph.Unreachable || dp+1 < best) {
 				best = dp + 1
 			}
 		}

@@ -19,8 +19,8 @@ import (
 //     value is free;
 //   - 1…254 are exact distances;
 //   - 255 (satCell) means "at least 255". Dist answers such a cell
-//     exactly with a BFS over the layer's adjacency, which the matrix
-//     keeps for that purpose.
+//     exactly with a BFS over the graph's layer it was built from,
+//     which the matrix keeps for that purpose.
 //
 // Subclass F only asks "is the distance ≤ k" for small constant k, or
 // plain reachability for c+, so Matrix.Sat decides almost every
@@ -29,12 +29,12 @@ import (
 // A Matrix is immutable after construction and safe for concurrent use.
 type Matrix struct {
 	n     int
-	cells [][]uint8 // one flat layer per color, wildcard layer last
-	adjs  []csr     // each layer's adjacency, searched for saturated cells
+	cells [][]uint8     // one flat layer per color, wildcard layer last
+	fwd   []graph.Layer // the graph's forward layers, searched for saturated cells
 }
 
 // satCell is the saturated cell value: the distance is 255 or more and
-// only a search over the layer's adjacency knows it exactly.
+// only a search over the layer knows it exactly.
 const satCell = 255
 
 // cellOf encodes a distance (0 = no path) as a matrix cell.
@@ -54,41 +54,6 @@ func cellDist(d uint8) int32 {
 	return int32(d)
 }
 
-// csr is a compact forward adjacency for one color layer: the build's
-// own immutable snapshot of the layer's out-edges, laid out contiguously
-// for the per-source BFS sweeps and kept by the Matrix to resolve
-// saturated cells.
-type csr struct {
-	rowStart []int32
-	dst      []graph.NodeID
-}
-
-func buildCSR(g *graph.Graph, c graph.ColorID) csr {
-	n := g.NumNodes()
-	cs := csr{rowStart: make([]int32, n+1)}
-	for v := 0; v < n; v++ {
-		deg := 0
-		for _, e := range g.Out(graph.NodeID(v)) {
-			if c == graph.AnyColor || e.Color == c {
-				deg++
-			}
-		}
-		cs.rowStart[v+1] = cs.rowStart[v] + int32(deg)
-	}
-	cs.dst = make([]graph.NodeID, cs.rowStart[n])
-	fill := make([]int32, n)
-	copy(fill, cs.rowStart[:n])
-	for v := 0; v < n; v++ {
-		for _, e := range g.Out(graph.NodeID(v)) {
-			if c == graph.AnyColor || e.Color == c {
-				cs.dst[fill[v]] = e.To
-				fill[v]++
-			}
-		}
-	}
-	return cs
-}
-
 // NewMatrix precomputes every layer with one BFS per (layer, source) in
 // O((m+1)·|V|·(|V|+|E|)) work, parallelized across GOMAXPROCS workers.
 // Work is sharded by source-row chunks within each layer, so construction
@@ -106,13 +71,13 @@ func newMatrixSerial(g *graph.Graph) *Matrix {
 func newMatrix(g *graph.Graph, workers int) *Matrix {
 	n := g.NumNodes()
 	m := g.NumColors()
-	mx := &Matrix{n: n, cells: make([][]uint8, m+1), adjs: make([]csr, m+1)}
+	mx := &Matrix{n: n, cells: make([][]uint8, m+1), fwd: make([]graph.Layer, m+1)}
 	for l := 0; l <= m; l++ {
 		c := graph.ColorID(l)
 		if l == m {
 			c = graph.AnyColor
 		}
-		mx.adjs[l] = buildCSR(g, c)
+		mx.fwd[l] = g.Layer(c, true)
 		mx.cells[l] = make([]uint8, n*n)
 	}
 	if n == 0 {
@@ -133,7 +98,7 @@ func newMatrix(g *graph.Graph, workers int) *Matrix {
 			queue := make([]graph.NodeID, 0, n)
 			for t := range tasks {
 				for src := t.lo; src < t.hi; src++ {
-					bfsRow(mx.adjs[t.layer], graph.NodeID(src),
+					bfsRow(mx.fwd[t.layer], graph.NodeID(src),
 						mx.cells[t.layer][src*n:(src+1)*n], queue)
 				}
 			}
@@ -158,7 +123,7 @@ func newMatrix(g *graph.Graph, workers int) *Matrix {
 // zeroed (all unreachable); queue is a reusable scratch buffer. The BFS
 // is level-synchronous, so the depth is a plain counter and never read
 // back from a cell that may have saturated.
-func bfsRow(adj csr, src graph.NodeID, row []uint8, queue []graph.NodeID) {
+func bfsRow(adj graph.Layer, src graph.NodeID, row []uint8, queue []graph.NodeID) {
 	queue = append(queue[:0], src)
 	// Shortest non-empty cycle through src: src is the root and is never
 	// re-enqueued, and the first level with an edge closing back on it
@@ -167,15 +132,14 @@ func bfsRow(adj csr, src graph.NodeID, row []uint8, queue []graph.NodeID) {
 	for head, depth := 0, 1; head < len(queue); depth++ {
 		cell := cellOf(depth)
 		for end := len(queue); head < end; head++ {
-			v := queue[head]
-			for _, w := range adj.dst[adj.rowStart[v]:adj.rowStart[v+1]] {
-				if w == src {
+			for _, w := range adj.Row(queue[head]) {
+				if graph.NodeID(w) == src {
 					if cycle == 0 {
 						cycle = depth
 					}
 				} else if row[w] == 0 {
 					row[w] = cell
-					queue = append(queue, w)
+					queue = append(queue, graph.NodeID(w))
 				}
 			}
 		}
@@ -183,18 +147,19 @@ func bfsRow(adj csr, src graph.NodeID, row []uint8, queue []graph.NodeID) {
 	row[src] = cellOf(cycle)
 }
 
-// dist is the exact shortest non-empty distance from src to dst over
-// the layer, by BFS from src: the answer for a saturated cell. Nodes are
+// satDist is the exact shortest non-empty distance from src to dst over
+// layer l, by BFS from src: the answer for a saturated cell. Nodes are
 // dequeued in distance order, so the first scanned edge into dst closes
 // a shortest path (a cycle when src == dst). Buffers come from s, the
 // package pool when s is nil, and a context bound to s is observed the
 // way BiDistScratch observes it.
-func (adj csr) dist(src, dst graph.NodeID, s *Scratch) int32 {
+func (mx *Matrix) satDist(l int, src, dst graph.NodeID, s *Scratch) int32 {
 	if s == nil {
 		s = GetScratch()
 		defer PutScratch(s)
 	}
-	d := restingBuf(&s.d, len(adj.rowStart)-1)
+	adj := mx.fwd[l]
+	d := restingBuf(&s.d, mx.n)
 	d[src] = 0
 	queue := append(s.q1[:0], src)
 	best := graph.Unreachable
@@ -204,14 +169,14 @@ scan:
 			break
 		}
 		v := queue[head]
-		for _, w := range adj.dst[adj.rowStart[v]:adj.rowStart[v+1]] {
-			if w == dst {
+		for _, w := range adj.Row(v) {
+			if graph.NodeID(w) == dst {
 				best = d[v] + 1
 				break scan
 			}
 			if d[w] == graph.Unreachable {
 				d[w] = d[v] + 1
-				queue = append(queue, w)
+				queue = append(queue, graph.NodeID(w))
 			}
 		}
 	}
@@ -250,7 +215,7 @@ func (mx *Matrix) DistScratch(c graph.ColorID, v1, v2 graph.NodeID, s *Scratch) 
 	if d := mx.cells[l][int(v1)*mx.n+int(v2)]; d != satCell {
 		return cellDist(d)
 	}
-	return mx.adjs[l].dist(v1, v2, s)
+	return mx.satDist(l, v1, v2, s)
 }
 
 // Sat satisfies Backend: one cell load decides, except for a bound of
@@ -260,14 +225,14 @@ func (mx *Matrix) Sat(a CAtom, v1, v2 graph.NodeID, s *Scratch) bool {
 	l := mx.layer(a.Color)
 	d := mx.cells[l][int(v1)*mx.n+int(v2)]
 	if d == satCell && a.Max != rex.Unbounded && a.Max >= satCell {
-		return a.Sat(mx.adjs[l].dist(v1, v2, s))
+		return a.Sat(mx.satDist(l, v1, v2, s))
 	}
 	return a.Sat(cellDist(d))
 }
 
 // Size returns the cell footprint in bytes, (m+1)·|V|² — the quadratic
-// space cost the cache-based method avoids. The kept adjacency adds only
-// O(|V|+|E|) per layer on top.
+// space cost the cache-based method avoids. The kept layers are the
+// graph's own and add nothing.
 func (mx *Matrix) Size() int64 {
 	var total int64
 	for _, l := range mx.cells {

@@ -290,32 +290,24 @@ func BiDistScratch(g *graph.Graph, c graph.ColorID, v1, v2 graph.NodeID, s *Scra
 }
 
 // expandLevel expands one side's current level in biDist: the nodes
-// q[head:], over out-edges when forward and in-edges otherwise, with d
-// this side's distances and other the opposite side's. Each neighbour
-// the other side has labelled proposes a path length, min-ed into best;
-// each neighbour this side has not labelled joins q one step further. The adjacency loop
-// is inline (no visitor callbacks) for the same reason as
-// boundedImage's: escaping closures were a per-call allocation on the
-// cache-miss path.
-func expandLevel(g *graph.Graph, c graph.ColorID, q []graph.NodeID, head int, d, other []int32, forward bool, best int32, s *Scratch) ([]graph.NodeID, int32) {
+// q[head:], over adj (out-edges for the forward side, in-edges for the
+// backward one), with d this side's distances and other the opposite
+// side's. Each neighbour the other side has labelled proposes a path
+// length, min-ed into best; each neighbour this side has not labelled
+// joins q one step further. The adjacency loop is inline (no visitor
+// callbacks) for the same reason as boundedImage's: escaping closures
+// were a per-call allocation on the cache-miss path.
+func expandLevel(adj graph.Layer, q []graph.NodeID, head int, d, other []int32, best int32, s *Scratch) ([]graph.NodeID, int32) {
 	end := len(q)
 	for i := head; i < end; i++ {
 		if (i-head)&cancelMask == cancelMask && s.Canceled() {
 			break
 		}
 		v := q[i]
-		edges := g.In(v)
-		if forward {
-			edges = g.Out(v)
-		}
-		for _, e := range edges {
-			if c != graph.AnyColor && e.Color != c {
-				continue
-			}
+		for _, w := range adj.Row(v) {
 			// Candidates are only proposed on edge relaxations, so the
 			// v1 == v2 overlap at distance 0 (the empty path) is never
 			// counted.
-			w := e.To
 			if other[w] != graph.Unreachable {
 				if cand := d[v] + 1 + other[w]; best == graph.Unreachable || cand < best {
 					best = cand
@@ -323,7 +315,7 @@ func expandLevel(g *graph.Graph, c graph.ColorID, q []graph.NodeID, head int, d,
 			}
 			if d[w] == graph.Unreachable {
 				d[w] = d[v] + 1
-				q = append(q, w)
+				q = append(q, graph.NodeID(w))
 			}
 		}
 	}
@@ -351,6 +343,7 @@ func BiSat(g *graph.Graph, a CAtom, v1, v2 graph.NodeID, s *Scratch) bool {
 // arrays are reset through the lists on every exit.
 func biDist(g *graph.Graph, c graph.ColorID, v1, v2 graph.NodeID, bound int32, s *Scratch) (d int32, exact bool) {
 	n := g.NumNodes()
+	fwd, bwd := g.Layer(c, true), g.Layer(c, false)
 	df := restingBuf(&s.d, n)
 	db := restingBuf(&s.d2, n)
 	df[v1] = 0
@@ -380,12 +373,12 @@ func biDist(g *graph.Graph, c graph.ColorID, v1, v2 graph.NodeID, bound int32, s
 		}
 		if fLen, bLen := len(fq)-fHead, len(bq)-bHead; bLen == 0 || (fLen > 0 && fLen <= bLen) {
 			end := len(fq)
-			fq, best = expandLevel(g, c, fq, fHead, df, db, true, best, s)
+			fq, best = expandLevel(fwd, fq, fHead, df, db, best, s)
 			fHead = end
 			levF++
 		} else {
 			end := len(bq)
-			bq, best = expandLevel(g, c, bq, bHead, db, df, false, best, s)
+			bq, best = expandLevel(bwd, bq, bHead, db, df, best, s)
 			bHead = end
 			levB++
 		}

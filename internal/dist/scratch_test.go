@@ -1,6 +1,7 @@
 package dist
 
 import (
+	"math/rand"
 	"testing"
 
 	"regraph/internal/graph"
@@ -36,5 +37,32 @@ func TestClosureShortSource(t *testing.T) {
 	}
 	if got := ForwardClosure(g, []bool{true}, atoms); len(got) != g.NumNodes() || !got[2] {
 		t.Fatalf("ForwardClosure(short src) = %v", got)
+	}
+}
+
+// TestLayerScansAllocateNothing: on a warm arena, a closure step, a
+// BiDist and a wildcard predecessor row allocate nothing — every BFS
+// reads the graph's CSR layers in place.
+func TestLayerScansAllocateNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	g := randGraph(rand.New(rand.NewSource(3)), 300, 1500, []string{"a", "b", "c"})
+	atoms, ok := Compile(g, rex.MustParse("a{2} b"))
+	if !ok {
+		t.Fatal("compile failed")
+	}
+	a, _ := g.ColorID("a")
+	src := []graph.NodeID{0, 5, 9}
+	s := NewScratch()
+	for name, step := range map[string]func(){
+		"closure step": func() { ForwardClosureOf(g, src, atoms[:1], s) },
+		"BiDist":       func() { BiDistScratch(g, a, 1, 2, s) },
+		"wildcard row": func() { _ = g.Layer(graph.AnyColor, false).Row(7) },
+	} {
+		step() // warm the arena and build the layers
+		if n := testing.AllocsPerRun(50, step); n != 0 {
+			t.Errorf("%s: %.1f allocations per call on a warm arena, want 0", name, n)
+		}
 	}
 }

@@ -94,6 +94,9 @@ func NewTwoHopBudget(ctx context.Context, g *graph.Graph, maxBytes int64) (*TwoH
 		return th, nil
 	}
 
+	// Every worker reads the graph's CSR layers: build them once, here.
+	g.BuildColorIndex()
+
 	// Layers are independent: build them in parallel, sharing one byte
 	// account and one cancellable context so the first failure (budget
 	// or caller cancellation) stops the others at their next landmark.
@@ -155,8 +158,7 @@ func NewTwoHopBudget(ctx context.Context, g *graph.Graph, maxBytes int64) (*TwoH
 // scratch all come from s, exactly like the runtime search primitives.
 func buildTwoHopLayer(ctx context.Context, g *graph.Graph, c graph.ColorID, s *Scratch, maxBytes int64, usedBytes *atomic.Int64) (thLayer, error) {
 	n := g.NumNodes()
-	fwd := buildCSR(g, c)
-	bwd := buildReverseCSR(g, c)
+	fwd, bwd := g.Layer(c, true), g.Layer(c, false)
 
 	// Landmark order: total degree descending (ties by node ID). Hubs
 	// that touch many edges witness many shortest paths, which is what
@@ -165,8 +167,8 @@ func buildTwoHopLayer(ctx context.Context, g *graph.Graph, c graph.ColorID, s *S
 	for v := range order {
 		order[v] = graph.NodeID(v)
 	}
-	deg := func(v graph.NodeID) int32 {
-		return (fwd.rowStart[v+1] - fwd.rowStart[v]) + (bwd.rowStart[v+1] - bwd.rowStart[v])
+	deg := func(v graph.NodeID) int {
+		return len(fwd.Row(v)) + len(bwd.Row(v))
 	}
 	sort.Slice(order, func(i, j int) bool {
 		di, dj := deg(order[i]), deg(order[j])
@@ -238,7 +240,7 @@ func buildTwoHopLayer(ctx context.Context, g *graph.Graph, c graph.ColorID, s *S
 	la.self = make([]int32, n)
 	for v := 0; v < n; v++ {
 		best := graph.Unreachable
-		for _, w := range fwd.dst[fwd.rowStart[v]:fwd.rowStart[v+1]] {
+		for _, w := range fwd.Row(graph.NodeID(v)) {
 			if int(w) == v {
 				best = 1
 				break
@@ -256,7 +258,7 @@ func buildTwoHopLayer(ctx context.Context, g *graph.Graph, c graph.ColorID, s *S
 // (rank, dist) pairs to labels[v] for every non-pruned visited v. tmp
 // holds the landmark's opposite-side label distances scattered by rank;
 // the prune query for v is one pass over labels[v] against tmp.
-func prunedBFS(adj csr, root graph.NodeID, rank int32, d []int32, queueBuf *[]graph.NodeID, tmp []int32, labels [][]int32, addEntry func() error) error {
+func prunedBFS(adj graph.Layer, root graph.NodeID, rank int32, d []int32, queueBuf *[]graph.NodeID, tmp []int32, labels [][]int32, addEntry func() error) error {
 	// d rests at Unreachable (see Scratch); every exit resets the
 	// entries this search set.
 	d[root] = 0
@@ -277,10 +279,10 @@ func prunedBFS(adj csr, root graph.NodeID, rank int32, d []int32, queueBuf *[]gr
 		if err := addEntry(); err != nil {
 			return err
 		}
-		for _, w := range adj.dst[adj.rowStart[v]:adj.rowStart[v+1]] {
+		for _, w := range adj.Row(v) {
 			if d[w] == graph.Unreachable {
 				d[w] = dv + 1
-				queue = append(queue, w)
+				queue = append(queue, graph.NodeID(w))
 			}
 		}
 	}
@@ -348,34 +350,6 @@ func flattenLabels(n int, lin, lout [][]int32) thLayer {
 		lout[v] = nil
 	}
 	return la
-}
-
-// buildReverseCSR is buildCSR over the graph's in-edges: row v lists
-// v's predecessors under color c, the adjacency of the backward BFS.
-func buildReverseCSR(g *graph.Graph, c graph.ColorID) csr {
-	n := g.NumNodes()
-	cs := csr{rowStart: make([]int32, n+1)}
-	for v := 0; v < n; v++ {
-		deg := 0
-		for _, e := range g.In(graph.NodeID(v)) {
-			if c == graph.AnyColor || e.Color == c {
-				deg++
-			}
-		}
-		cs.rowStart[v+1] = cs.rowStart[v] + int32(deg)
-	}
-	cs.dst = make([]graph.NodeID, cs.rowStart[n])
-	fill := make([]int32, n)
-	copy(fill, cs.rowStart[:n])
-	for v := 0; v < n; v++ {
-		for _, e := range g.In(graph.NodeID(v)) {
-			if c == graph.AnyColor || e.Color == c {
-				cs.dst[fill[v]] = e.To
-				fill[v]++
-			}
-		}
-	}
-	return cs
 }
 
 // dist is the standard-distance sorted-merge over Lout(u) ∩ Lin(v).

@@ -46,8 +46,10 @@ type Commit struct {
 //   - The attribute inverted index of the new generation is derived
 //     incrementally from the current one (candidx.WithChanges) and the
 //     predicate memo carries over every entry the batch provably could
-//     not affect (candidx.NextGen); the distance backend is rebuilt for
-//     the new graph (the same kind New selected).
+//     not affect (candidx.NextGen); the graph's CSR layers and the
+//     distance backend are rebuilt for the new graph (the same kind New
+//     selected), unless the batch only set attributes: then both carry
+//     over from the current generation.
 //   - The new genState is published with one atomic store, the old
 //     graph is sealed (a debug tripwire: stray writes to a superseded
 //     generation panic instead of corrupting shared arrays), and every
@@ -62,7 +64,8 @@ func (e *Engine) Apply(ops []mutate.Op) (Commit, error) {
 
 // apply is Apply with the backend rebuild optional. Recover replays with
 // rebuild off: the generations it publishes have no reader, so their
-// backends are left nil and one backend is built for the final
+// layers are left unbuilt and their backends nil (or carried over by an
+// attribute-only batch), and one backend is built for the final
 // generation instead of one per replayed batch.
 func (e *Engine) apply(ops []mutate.Op, rebuild bool) (Commit, error) {
 	if e.immutable != nil {
@@ -169,7 +172,14 @@ func (e *Engine) apply(ops []mutate.Op, rebuild bool) (Commit, error) {
 	}
 
 	ns := &genState{gen: gen, g: ng}
-	if rebuild {
+	switch {
+	case !nodesAdded && len(delta.AddedEdges) == 0 && len(delta.RemovedEdges) == 0:
+		// Attribute-only batch: ng still shares base's CSR layers (see
+		// graph.Derive), and the backend and its filter read nothing but
+		// adjacency and |V|, so the predecessor's backend serves ng as is.
+		ns.be = base.be
+	case rebuild:
+		ng.BuildColorIndex()
 		ns.be = e.rebuildBackend(ng)
 	}
 	if base.cands != nil {

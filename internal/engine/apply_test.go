@@ -261,6 +261,65 @@ func TestApplyBackendKinds(t *testing.T) {
 	}
 }
 
+// TestApplyAttrOnlyKeepsBackend: a batch that only sets attributes
+// changes no adjacency, so its generation serves with the predecessor's
+// backend (and GRAIL filter) instead of a rebuilt one, and still answers
+// exactly as EvalBFS and JoinMatch do on the replayed plain graph. The
+// next batch that adds an edge rebuilds again.
+func TestApplyAttrOnlyKeepsBackend(t *testing.T) {
+	for _, opts := range []engine.Options{
+		{BackendKind: "matrix"},
+		{BackendKind: "twohop"},
+		{BackendKind: "cache"},
+		{BackendKind: "cache", ReachFilterK: 2},
+	} {
+		opts.Workers = 2
+		g := mutBase(rand.New(rand.NewSource(9)), 40)
+		og := mutBase(rand.New(rand.NewSource(9)), 40)
+		e := engine.MustNew(g, opts)
+		check := func(tag string) {
+			t.Helper()
+			reqs := mutQueries()
+			got := e.RunBatch(reqs)
+			for i, req := range reqs {
+				if req.RQ != nil {
+					if pairsKey(got[i].Pairs) != pairsKey(req.RQ.EvalBFS(og)) {
+						t.Fatalf("%+v %s: query %d differs from EvalBFS", opts, tag, i)
+					}
+				} else if !got[i].Match.Equal(pattern.JoinMatch(og, req.PQ, pattern.Options{})) {
+					t.Fatalf("%+v %s: query %d differs from JoinMatch", opts, tag, i)
+				}
+			}
+		}
+		apply := func(ops []mutate.Op) {
+			t.Helper()
+			if cm, err := e.Apply(ops); err != nil || cm.Applied != len(ops) {
+				t.Fatalf("%+v: Apply = %+v, %v", opts, cm, err)
+			}
+			for _, op := range ops {
+				replayAck(og, op)
+			}
+		}
+
+		be := e.Backend()
+		apply([]mutate.Op{
+			{Verb: mutate.VerbSetAttr, Node: "v1", Attrs: map[string]string{"t": "1", "w": "4"}},
+			{Verb: mutate.VerbSetAttr, Node: "v2", Attrs: map[string]string{"t": "2"}},
+			{Verb: mutate.VerbSetAttr, Node: "v3", Attrs: map[string]string{"fresh": "yes"}},
+		})
+		if e.Backend() != be {
+			t.Fatalf("%+v: a set_attr-only batch rebuilt the backend", opts)
+		}
+		check("after set_attr")
+
+		apply([]mutate.Op{{Verb: mutate.VerbAddEdge, From: "v1", To: "v2", Color: "x"}})
+		if e.Backend() == be {
+			t.Fatalf("%+v: an add_edge batch kept the predecessor's backend", opts)
+		}
+		check("after add_edge")
+	}
+}
+
 // TestApplySnapshotIsolation: a session pinned before a commit answers
 // from its generation forever; a session opened after sees the new one.
 func TestApplySnapshotIsolation(t *testing.T) {

@@ -26,8 +26,8 @@
 // goroutines.
 //
 // Concurrency contract: the graph must not be mutated while the engine
-// is in use (construction eagerly builds the graph's per-color index so
-// that all evaluation-time graph accesses are pure reads). The Matrix is
+// is in use (every published generation has its CSR layers built, so
+// all evaluation-time graph accesses are pure reads). The Matrix is
 // immutable; the Cache serializes its LRU state behind a mutex and runs
 // searches outside it. See DESIGN.md, "Engine & concurrency model".
 package engine
@@ -299,6 +299,11 @@ func newEngine(g *graph.Graph, opts Options, buildKind bool) (*Engine, error) {
 		cacheSize = 1 << 16
 	}
 
+	if buildKind {
+		// Build the graph's CSR layers before the backend, which reads
+		// them, and before any reader can: no served read builds them.
+		g.BuildColorIndex()
+	}
 	be := opts.Backend
 	kind := "custom"
 	switch {
@@ -350,9 +355,6 @@ func newEngine(g *graph.Graph, opts Options, buildKind bool) (*Engine, error) {
 		fb.SetFilter(f)
 	}
 
-	// Freeze the graph's lazy per-color index now: building it on first
-	// use by Succ/Pred callers on several goroutines at once would race.
-	g.BuildColorIndex()
 	e := &Engine{
 		kind:      kind,
 		workers:   workers,

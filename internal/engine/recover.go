@@ -35,9 +35,9 @@ type RecoverInfo struct {
 // double as the cross-check: every replayed batch must commit as
 // exactly the generation it was logged under, or recovery fails loudly
 // instead of continuing from a diverged state. The one step replay
-// skips is the per-batch backend rebuild: the intermediate generations
-// have no reader, so the distance backend is built once, for the
-// generation recovery ends at.
+// skips is the per-batch rebuild of the CSR layers and the backend: the
+// intermediate generations have no reader, so both are built once, for
+// the generation recovery ends at.
 //
 // opts must not set WAL (Recover installs w itself, after replay, so
 // replayed batches are not re-appended) and must leave the engine
@@ -86,10 +86,13 @@ func Recover(w *wal.WAL, seed *graph.Graph, opts Options) (*Engine, RecoverInfo,
 	}); err != nil {
 		return nil, info, err
 	}
-	// Replay left every generation it published without a backend (and
-	// newEngine left a BackendKind seed without one): build the one the
-	// final generation serves with. Still no reader, so again race-free.
-	if st := e.cur.Load(); st.be == nil {
+	// Replay left every generation it published without CSR layers or a
+	// backend (and newEngine left a BackendKind seed without either):
+	// build the ones the final generation serves with. Still no reader,
+	// so again race-free.
+	st := e.cur.Load()
+	st.g.BuildColorIndex()
+	if st.be == nil {
 		st.be = e.rebuildBackend(st.g)
 	}
 

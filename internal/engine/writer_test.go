@@ -193,18 +193,20 @@ func TestWriteSessionStickyError(t *testing.T) {
 
 // ---- writer starvation regression (GOMAXPROCS=1) --------------------------
 
-// starvOps is one deterministic 32-op set_attr batch for the
-// starvation arms — cheap commits, which is the worst case for
-// readers: the shorter an apply, the tighter the writer loop spins and
-// the longer a queued read waits for the scheduler to preempt it.
+// starvOps is one deterministic 32-op batch for the starvation arms:
+// 31 set_attr ops and one add_edge. The edge is what makes every commit
+// rebuild the generation's CSR layers and backend, the cost a served
+// write batch pays; a batch of set_attr ops alone carries both over and
+// commits too cheaply to hold the core.
 func starvOps(b, n int) []mutate.Op {
 	ops := make([]mutate.Op, 0, 32)
-	for j := 0; j < 32; j++ {
+	for j := 0; j < 31; j++ {
 		ops = append(ops, mutate.Op{Verb: mutate.VerbSetAttr,
 			Node:  fmt.Sprintf("n%d", (b*31+j*7)%n),
 			Attrs: map[string]string{"a0": fmt.Sprint((b + j) % 10)}})
 	}
-	return ops
+	return append(ops, mutate.Op{Verb: mutate.VerbAddEdge,
+		From: fmt.Sprintf("n%d", (b*13)%n), To: fmt.Sprintf("n%d", (b*17+1)%n), Color: gen.DefaultColors[b%len(gen.DefaultColors)]})
 }
 
 // starvationArm drives a saturating writer against an open-loop read

@@ -1,27 +1,17 @@
 // Copy-on-write generations. Derive returns a successor graph that shares
 // every backing array with its base; the first mutation of any region
-// (a node's adjacency list, one color's posting column, an attribute map)
-// clones just that region into the derived graph. The base is never
-// written through shared storage, so readers holding the base — pinned
-// engine sessions, standing queries mid-refine — observe a stable
-// snapshot while the writer prepares the next generation. Once the
-// writer publishes the successor it seals the base (Seal), turning any
-// later direct mutation into a loud panic instead of a data race.
+// (a node's adjacency list, an attribute map) clones just that region
+// into the derived graph. The base is never written through shared
+// storage, so readers holding the base — pinned engine sessions,
+// standing queries mid-refine — observe a stable snapshot while the
+// writer prepares the next generation. Once the writer publishes the
+// successor it seals the base (Seal), turning any later direct mutation
+// into a loud panic instead of a data race.
 //
-// The per-color adjacency index is maintained incrementally in a derived
-// generation (mutators patch outByColor/inByColor in place of the
-// invalidate-and-rebuild path), so Succ/Pred never pay a rebuild after a
-// mutation batch. Postings keep insertion order, which makes a derived
-// index bit-identical to colorIndex run from scratch on the same graph:
-// outByColor[c][v] is the order-preserving filter of out[v] by color c
-// under both constructions.
+// The CSR layers are immutable, so a derived generation shares its
+// base's until its first change to adjacency drops them; it builds its
+// own on the next read (the engine builds them before publishing).
 package graph
-
-// colorNode keys one posting list of the per-color adjacency index.
-type colorNode struct {
-	c ColorID
-	v NodeID
-}
 
 // cowState records, for one unpublished derived generation, which backing
 // arrays are privately owned (safe to mutate in place) and which are still
@@ -35,53 +25,37 @@ type cowState struct {
 	colorIdx bool
 	out      bool // top-level out slice is private
 	in       bool
-	outBC    bool // top-level outByColor slice is private
-	inBC     bool
 
-	outCols []bool // per color: outByColor[c] (the [node] level) is private
-	inCols  []bool
-
-	outNode map[NodeID]bool    // out[v] is private
-	inNode  map[NodeID]bool    // in[v] is private
-	outCN   map[colorNode]bool // outByColor[c][v] is private
-	inCN    map[colorNode]bool
+	outNode map[NodeID]bool // out[v] is private
+	inNode  map[NodeID]bool // in[v] is private
 	attrs   map[NodeID]bool // nodes[v].Attrs is private
 }
 
 // Derive returns an unsealed copy-on-write successor of g. The successor
 // initially shares all storage with g; mutations clone only what they
-// touch. The base's per-color adjacency index is built first (if it is
-// not already) so both generations share it and the successor can patch
-// its private copies incrementally — a derived graph never invalidates
-// the index wholesale.
+// touch. It shares the base's CSR layers, if built, until it first
+// changes adjacency.
 //
 // The caller owns the concurrency contract: g may be read concurrently
 // during and after Derive, but the derived graph must be mutated by one
 // goroutine and published to readers with an appropriate barrier (the
 // engine does both under its write lock).
 func (g *Graph) Derive() *Graph {
-	g.colorIndex()
 	ng := &Graph{
-		nodes:      g.nodes,
-		byName:     g.byName,
-		colors:     g.colors,
-		colorIdx:   g.colorIdx,
-		out:        g.out,
-		in:         g.in,
-		numEdges:   g.numEdges,
-		outByColor: g.outByColor,
-		inByColor:  g.inByColor,
+		nodes:    g.nodes,
+		byName:   g.byName,
+		colors:   g.colors,
+		colorIdx: g.colorIdx,
+		out:      g.out,
+		in:       g.in,
+		numEdges: g.numEdges,
 		cow: &cowState{
-			outCols: make([]bool, len(g.colors)),
-			inCols:  make([]bool, len(g.colors)),
 			outNode: map[NodeID]bool{},
 			inNode:  map[NodeID]bool{},
-			outCN:   map[colorNode]bool{},
-			inCN:    map[colorNode]bool{},
 			attrs:   map[NodeID]bool{},
 		},
 	}
-	ng.indexed.Store(true)
+	ng.csr.Store(g.csr.Load())
 	ng.epoch.Store(g.epoch.Load())
 	return ng
 }
@@ -165,51 +139,6 @@ func (g *Graph) cowIn(v NodeID) {
 	}
 }
 
-// cowOutBC makes outByColor[c][v] privately writable, growing the color's
-// [node] level if v was added in this generation (columns are grown
-// lazily: Succ/Pred treat an out-of-range node as having no postings).
-func (g *Graph) cowOutBC(c ColorID, v NodeID) {
-	if !g.cow.outBC {
-		g.outByColor = append([][][]NodeID(nil), g.outByColor...)
-		g.cow.outBC = true
-	}
-	if !g.cow.outCols[c] {
-		g.outByColor[c] = append([][]NodeID(nil), g.outByColor[c]...)
-		g.cow.outCols[c] = true
-	}
-	if int(v) >= len(g.outByColor[c]) {
-		grown := make([][]NodeID, len(g.nodes))
-		copy(grown, g.outByColor[c])
-		g.outByColor[c] = grown
-	}
-	key := colorNode{c, v}
-	if !g.cow.outCN[key] {
-		g.outByColor[c][v] = append([]NodeID(nil), g.outByColor[c][v]...)
-		g.cow.outCN[key] = true
-	}
-}
-
-func (g *Graph) cowInBC(c ColorID, v NodeID) {
-	if !g.cow.inBC {
-		g.inByColor = append([][][]NodeID(nil), g.inByColor...)
-		g.cow.inBC = true
-	}
-	if !g.cow.inCols[c] {
-		g.inByColor[c] = append([][]NodeID(nil), g.inByColor[c]...)
-		g.cow.inCols[c] = true
-	}
-	if int(v) >= len(g.inByColor[c]) {
-		grown := make([][]NodeID, len(g.nodes))
-		copy(grown, g.inByColor[c])
-		g.inByColor[c] = grown
-	}
-	key := colorNode{c, v}
-	if !g.cow.inCN[key] {
-		g.inByColor[c][v] = append([]NodeID(nil), g.inByColor[c][v]...)
-		g.cow.inCN[key] = true
-	}
-}
-
 // ---- copy-on-write mutators ----------------------------------------------
 
 func (g *Graph) cowAddNode(name string, attrs map[string]string) NodeID {
@@ -234,13 +163,12 @@ func (g *Graph) cowAddNode(name string, attrs map[string]string) NodeID {
 	g.in = append(g.in, nil)
 	g.cow.outNode[id] = true
 	g.cow.inNode[id] = true
-	// Per-color columns are not extended here; cowOutBC/cowInBC grow them
-	// on the first edge touching the new node, and Succ/Pred bounds-check.
 	g.epoch.Add(1)
 	return id
 }
 
-func (g *Graph) cowInternColor(color string) ColorID {
+// cowColors makes the color table and its index private.
+func (g *Graph) cowColors() {
 	if !g.cow.colors {
 		g.colors = append([]string(nil), g.colors...)
 		g.cow.colors = true
@@ -253,68 +181,6 @@ func (g *Graph) cowInternColor(color string) ColorID {
 		g.colorIdx = m
 		g.cow.colorIdx = true
 	}
-	id := ColorID(len(g.colors))
-	g.colors = append(g.colors, color)
-	g.colorIdx[color] = id
-	if !g.cow.outBC {
-		g.outByColor = append([][][]NodeID(nil), g.outByColor...)
-		g.cow.outBC = true
-	}
-	if !g.cow.inBC {
-		g.inByColor = append([][][]NodeID(nil), g.inByColor...)
-		g.cow.inBC = true
-	}
-	g.outByColor = append(g.outByColor, nil)
-	g.inByColor = append(g.inByColor, nil)
-	g.cow.outCols = append(g.cow.outCols, true) // nil column: nothing shared
-	g.cow.inCols = append(g.cow.inCols, true)
-	g.epoch.Add(1)
-	return id
-}
-
-func (g *Graph) cowAddEdge(from, to NodeID, c ColorID) {
-	g.cowOut(from)
-	g.out[from] = append(g.out[from], Edge{To: to, Color: c})
-	g.cowIn(to)
-	g.in[to] = append(g.in[to], Edge{To: from, Color: c})
-	g.numEdges++
-	g.cowOutBC(c, from)
-	g.outByColor[c][from] = append(g.outByColor[c][from], to)
-	g.cowInBC(c, to)
-	g.inByColor[c][to] = append(g.inByColor[c][to], from)
-	g.epoch.Add(1)
-}
-
-func (g *Graph) cowRemoveEdge(from, to NodeID, c ColorID, idx int) {
-	g.cowOut(from)
-	g.out[from] = append(g.out[from][:idx], g.out[from][idx+1:]...)
-	g.cowIn(to)
-	for i, e := range g.in[to] {
-		if e.To == from && e.Color == c {
-			g.in[to] = append(g.in[to][:i], g.in[to][i+1:]...)
-			break
-		}
-	}
-	g.numEdges--
-	// outByColor[c][from] is out[from] filtered by c in order, so the
-	// first (to,c) match in out[from] is the first `to` posting here.
-	g.cowOutBC(c, from)
-	col := g.outByColor[c][from]
-	for i, w := range col {
-		if w == to {
-			g.outByColor[c][from] = append(col[:i], col[i+1:]...)
-			break
-		}
-	}
-	g.cowInBC(c, to)
-	col = g.inByColor[c][to]
-	for i, w := range col {
-		if w == from {
-			g.inByColor[c][to] = append(col[:i], col[i+1:]...)
-			break
-		}
-	}
-	g.epoch.Add(1)
 }
 
 // SetAttr sets (or overwrites) one attribute of an existing node. On a

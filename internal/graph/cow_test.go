@@ -16,8 +16,7 @@ type snapshot struct {
 	nodes  []Node
 	out    [][]Edge
 	in     [][]Edge
-	succ   map[string][]NodeID // "c/v" -> successors
-	pred   map[string][]NodeID
+	layers [2][][][]int32
 }
 
 func snap(g *Graph) *snapshot {
@@ -25,8 +24,7 @@ func snap(g *Graph) *snapshot {
 		n:      g.NumNodes(),
 		e:      g.NumEdges(),
 		colors: append([]string(nil), g.Colors()...),
-		succ:   map[string][]NodeID{},
-		pred:   map[string][]NodeID{},
+		layers: layerRows(g),
 	}
 	for v := 0; v < s.n; v++ {
 		nd := g.Node(NodeID(v))
@@ -37,13 +35,56 @@ func snap(g *Graph) *snapshot {
 		s.nodes = append(s.nodes, Node{Name: nd.Name, Attrs: attrs})
 		s.out = append(s.out, append([]Edge(nil), g.Out(NodeID(v))...))
 		s.in = append(s.in, append([]Edge(nil), g.In(NodeID(v))...))
-		for c := 0; c < g.NumColors(); c++ {
-			key := fmt.Sprintf("%d/%d", c, v)
-			s.succ[key] = append([]NodeID(nil), g.Succ(NodeID(v), ColorID(c))...)
-			s.pred[key] = append([]NodeID(nil), g.Pred(NodeID(v), ColorID(c))...)
-		}
 	}
 	return s
+}
+
+// layerRows copies every row of every CSR layer of g: rows[0] holds the
+// forward layers and rows[1] the reverse ones, each indexed by color with
+// the wildcard last, then by node.
+func layerRows(g *Graph) [2][][][]int32 {
+	var rows [2][][][]int32
+	for dir, forward := range []bool{true, false} {
+		for l := 0; l <= g.NumColors(); l++ {
+			c := ColorID(l)
+			if l == g.NumColors() {
+				c = AnyColor
+			}
+			la := g.Layer(c, forward)
+			var layer [][]int32
+			for v := 0; v < g.NumNodes(); v++ {
+				layer = append(layer, append([]int32{}, la.Row(NodeID(v))...))
+			}
+			rows[dir] = append(rows[dir], layer)
+		}
+	}
+	return rows
+}
+
+// filterRows is layerRows computed from Out and In instead of the CSR:
+// each row is the order-preserving color filter of the adjacency list.
+func filterRows(g *Graph) [2][][][]int32 {
+	var rows [2][][][]int32
+	for dir, forward := range []bool{true, false} {
+		for l := 0; l <= g.NumColors(); l++ {
+			var layer [][]int32
+			for v := 0; v < g.NumNodes(); v++ {
+				es := g.In(NodeID(v))
+				if forward {
+					es = g.Out(NodeID(v))
+				}
+				row := []int32{}
+				for _, e := range es {
+					if l == g.NumColors() || e.Color == ColorID(l) {
+						row = append(row, int32(e.To))
+					}
+				}
+				layer = append(layer, row)
+			}
+			rows[dir] = append(rows[dir], layer)
+		}
+	}
+	return rows
 }
 
 func (s *snapshot) check(t *testing.T, g *Graph, label string) {
@@ -62,31 +103,13 @@ func (s *snapshot) check(t *testing.T, g *Graph, label string) {
 		if !edgesEqual(g.Out(NodeID(v)), s.out[v]) || !edgesEqual(g.In(NodeID(v)), s.in[v]) {
 			t.Fatalf("%s: adjacency of %d changed", label, v)
 		}
-		for c := 0; c < len(s.colors); c++ {
-			key := fmt.Sprintf("%d/%d", c, v)
-			if !idsEqual(g.Succ(NodeID(v), ColorID(c)), s.succ[key]) {
-				t.Fatalf("%s: Succ(%d,%d) changed: %v vs %v", label, v, c, g.Succ(NodeID(v), ColorID(c)), s.succ[key])
-			}
-			if !idsEqual(g.Pred(NodeID(v), ColorID(c)), s.pred[key]) {
-				t.Fatalf("%s: Pred(%d,%d) changed", label, v, c)
-			}
-		}
+	}
+	if got := layerRows(g); !reflect.DeepEqual(got, s.layers) {
+		t.Fatalf("%s: CSR layers changed: %v vs %v", label, got, s.layers)
 	}
 }
 
 func edgesEqual(a, b []Edge) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-func idsEqual(a, b []NodeID) bool {
 	if len(a) != len(b) {
 		return false
 	}
@@ -208,7 +231,7 @@ func TestDeriveEquivalentToRebuild(t *testing.T) {
 		cur = ng
 
 		// The derived generation and the replayed fresh graph must agree
-		// on every observation, including per-color index contents.
+		// on every observation, including the CSR layers.
 		want := snap(fresh)
 		want.check(t, cur, fmt.Sprintf("gen %d vs fresh rebuild", gen))
 	}
@@ -239,7 +262,7 @@ func TestSealedPanics(t *testing.T) {
 	mustPanic("InternColor", func() { g.InternColor("brand-new") })
 
 	// Reads still work, and the unsealed successor still mutates.
-	if len(g.Succ(0, 0)) == 0 {
+	if len(g.Layer(0, true).Row(0)) == 0 {
 		t.Fatal("sealed graph lost its adjacency")
 	}
 	ng.AddEdge(4, 5, "a")
@@ -265,5 +288,80 @@ func TestDeriveSharesUntouchedStorage(t *testing.T) {
 	// The touched row must NOT share storage.
 	if &g.Out(0)[0] == &ng.Out(0)[0] {
 		t.Fatal("touched adjacency row still shares storage with the base")
+	}
+}
+
+// TestLayersMatchAdjacencyOverCOWHistories drives random histories of
+// Derive, AddNode, AddEdge (some with a color first interned in a derived
+// generation), RemoveEdge, SetAttr and Seal. After every step each live
+// generation's layers must be the order-preserving color filter of its
+// Out/In lists, and every base generation's layers must still be the ones
+// it had when its successor was derived.
+func TestLayersMatchAdjacencyOverCOWHistories(t *testing.T) {
+	for seed := int64(1); seed <= 10; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		cur := buildBase(t)
+		colors := []string{"a", "b", "c"}
+		var bases []*Graph
+		var baseRows [][2][][][]int32
+		for step := 0; step < 50; step++ {
+			built := cur.csr.Load()
+			adjacency := true // whether the op must drop cur's layers
+			switch op := rng.Intn(8); op {
+			case 0, 1: // Derive, sometimes from a base whose layers were never built
+				if rng.Intn(2) == 0 {
+					cur.BuildColorIndex()
+				}
+				ng := cur.Derive()
+				if ng.csr.Load() != cur.csr.Load() {
+					t.Fatalf("seed %d step %d: Derive did not share the base's layers", seed, step)
+				}
+				bases = append(bases, cur)
+				baseRows = append(baseRows, layerRows(cur))
+				if op == 1 {
+					cur.Seal()
+				}
+				cur, adjacency = ng, false
+			case 2:
+				cur.AddNode(fmt.Sprintf("s%d", step), nil)
+			case 3, 4:
+				c := colors[rng.Intn(len(colors))]
+				if op == 4 {
+					c = fmt.Sprintf("new%d", step)
+					colors = append(colors, c)
+				}
+				cur.AddEdge(NodeID(rng.Intn(cur.NumNodes())), NodeID(rng.Intn(cur.NumNodes())), c)
+			case 5:
+				from := NodeID(rng.Intn(cur.NumNodes()))
+				es := cur.Out(from)
+				if len(es) == 0 {
+					adjacency = false
+					break
+				}
+				e := es[rng.Intn(len(es))]
+				if !cur.RemoveEdge(from, e.To, cur.ColorName(e.Color)) {
+					t.Fatalf("seed %d step %d: RemoveEdge of a listed edge failed", seed, step)
+				}
+			default:
+				cur.SetAttr(NodeID(rng.Intn(cur.NumNodes())), "k", fmt.Sprint(step))
+				adjacency = false
+			}
+			if got := cur.csr.Load(); adjacency && got != nil || !adjacency && got != built && built != nil {
+				t.Fatalf("seed %d step %d: layers pointer %p after an op with adjacency=%v (was %p)", seed, step, got, adjacency, built)
+			}
+			if rng.Intn(3) == 0 {
+				// Read the newest generation's layers mid-history too, so
+				// later ops start from built layers as well as dropped ones.
+				cur.BuildColorIndex()
+			}
+			for i, g := range append(bases, cur) {
+				if got, want := layerRows(g), filterRows(g); !reflect.DeepEqual(got, want) {
+					t.Fatalf("seed %d step %d: generation %d layers %v, want the filter of Out/In %v", seed, step, i, got, want)
+				}
+				if i < len(bases) && !reflect.DeepEqual(layerRows(g), baseRows[i]) {
+					t.Fatalf("seed %d step %d: base generation %d's layers changed after its successor mutated", seed, step, i)
+				}
+			}
+		}
 	}
 }

@@ -1,9 +1,9 @@
 // Package graph implements the paper's data graphs: directed graphs whose
 // nodes carry attribute tuples (the function f_A of Section 2) and whose
 // edges carry a color from a finite alphabet of edge types (the function
-// f_C). It also provides the graph-algorithm substrate used by the query
-// evaluation algorithms: per-color breadth-first search, Tarjan's strongly
-// connected components, and topological orders over condensations.
+// f_C). It also provides the substrate the query evaluation algorithms
+// traverse: one immutable compressed-sparse-row adjacency per color layer
+// and direction (Layer), and Tarjan's strongly connected components.
 //
 // Colors are interned to small integers; all per-color operations take a
 // ColorID. The special AnyColor stands for the wildcard "_" (a path via
@@ -14,9 +14,9 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"math"
 	"sort"
 	"strings"
-	"sync"
 	"sync/atomic"
 )
 
@@ -53,15 +53,10 @@ type Graph struct {
 	in       [][]Edge
 	numEdges int
 
-	// Per-color adjacency, built on demand by colorIndex. The build is
-	// double-checked behind indexMu so that concurrent readers of a
-	// graph that is no longer mutated (several engine.New calls, worker
-	// goroutines) can all trigger or observe it safely; mutations still
-	// require external exclusion.
-	outByColor [][][]NodeID // [color][node] -> successors
-	inByColor  [][][]NodeID
-	indexed    atomic.Bool
-	indexMu    sync.Mutex
+	// csr holds the per-color CSR layers of the current adjacency, or nil
+	// until a reader builds them (see layers). Ops that change adjacency
+	// drop it; a derived generation starts out sharing its base's.
+	csr atomic.Pointer[layers]
 
 	// epoch counts mutations (node/edge/color additions and removals).
 	// Derived read-side structures — the candidate inverted index and
@@ -102,6 +97,7 @@ func (g *Graph) AddNode(name string, attrs map[string]string) NodeID {
 		return id
 	}
 	g.checkMutable()
+	g.csr.Store(nil)
 	if g.cow != nil {
 		return g.cowAddNode(name, attrs)
 	}
@@ -113,7 +109,6 @@ func (g *Graph) AddNode(name string, attrs map[string]string) NodeID {
 	g.byName[name] = id
 	g.out = append(g.out, nil)
 	g.in = append(g.in, nil)
-	g.indexed.Store(false)
 	g.epoch.Add(1)
 	return id
 }
@@ -128,13 +123,13 @@ func (g *Graph) InternColor(color string) ColorID {
 		return id
 	}
 	g.checkMutable()
+	g.csr.Store(nil)
 	if g.cow != nil {
-		return g.cowInternColor(color)
+		g.cowColors()
 	}
 	id := ColorID(len(g.colors))
 	g.colors = append(g.colors, color)
 	g.colorIdx[color] = id
-	g.indexed.Store(false)
 	g.epoch.Add(1)
 	return id
 }
@@ -175,20 +170,20 @@ func (g *Graph) AddEdge(from, to NodeID, color string) {
 	if c == AnyColor {
 		panic("graph: the wildcard \"_\" is not a valid concrete edge color")
 	}
+	g.csr.Store(nil)
 	if g.cow != nil {
-		g.cowAddEdge(from, to, c)
-		return
+		g.cowOut(from)
+		g.cowIn(to)
 	}
 	g.out[from] = append(g.out[from], Edge{To: to, Color: c})
 	g.in[to] = append(g.in[to], Edge{To: from, Color: c})
 	g.numEdges++
-	g.indexed.Store(false)
 	g.epoch.Add(1)
 }
 
 // RemoveEdge removes one edge from `from` to `to` with the given color,
 // reporting whether such an edge existed. Used by the incremental
-// evaluation engine; the per-color index is rebuilt lazily.
+// evaluation engine; the CSR layers are rebuilt on the next read.
 func (g *Graph) RemoveEdge(from, to NodeID, color string) bool {
 	c, ok := g.colorIdx[color]
 	if !ok {
@@ -205,9 +200,10 @@ func (g *Graph) RemoveEdge(from, to NodeID, color string) bool {
 		return false
 	}
 	g.checkMutable()
+	g.csr.Store(nil)
 	if g.cow != nil {
-		g.cowRemoveEdge(from, to, c, idx)
-		return true
+		g.cowOut(from)
+		g.cowIn(to)
 	}
 	g.out[from] = append(g.out[from][:idx], g.out[from][idx+1:]...)
 	for i, e := range g.in[to] {
@@ -217,7 +213,6 @@ func (g *Graph) RemoveEdge(from, to NodeID, color string) bool {
 		}
 	}
 	g.numEdges--
-	g.indexed.Store(false)
 	g.epoch.Add(1)
 	return true
 }
@@ -248,85 +243,86 @@ func (g *Graph) Out(id NodeID) []Edge { return g.out[id] }
 // predecessor). The slice must not be modified.
 func (g *Graph) In(id NodeID) []Edge { return g.in[id] }
 
-// colorIndex builds (once) per-color adjacency lists used by the BFS
-// routines. Mutating the graph invalidates the index; it is rebuilt on
-// the next call. Double-checked locking makes concurrent builds safe on
-// an otherwise-unmutated graph: the atomic flag is the fast path, the
-// mutex serializes the build, and the Store(true) publishes the
-// completed maps to every later Load.
-func (g *Graph) colorIndex() {
-	if g.indexed.Load() {
-		return
-	}
-	g.indexMu.Lock()
-	defer g.indexMu.Unlock()
-	if g.indexed.Load() {
-		return
-	}
-	m := len(g.colors)
-	g.outByColor = make([][][]NodeID, m)
-	g.inByColor = make([][][]NodeID, m)
-	for c := 0; c < m; c++ {
-		g.outByColor[c] = make([][]NodeID, len(g.nodes))
-		g.inByColor[c] = make([][]NodeID, len(g.nodes))
-	}
-	for v := range g.nodes {
-		for _, e := range g.out[v] {
-			g.outByColor[e.Color][v] = append(g.outByColor[e.Color][v], e.To)
-		}
-		for _, e := range g.in[v] {
-			g.inByColor[e.Color][v] = append(g.inByColor[e.Color][v], e.To)
-		}
-	}
-	g.indexed.Store(true)
+// Layer is one color layer of the adjacency in one direction, in
+// compressed sparse row form: node v's neighbors over the layer are
+// to[off[v]:off[v+1]], in the order Out (forward) or In (reverse) lists
+// them. A Layer is immutable: a mutation of the graph drops its layers
+// and the next read builds new ones, so a Layer read before the mutation
+// keeps describing the graph as it was.
+type Layer struct {
+	off []int32 // |V|+1 row offsets into to
+	to  []int32 // one neighbor per edge of the layer
 }
 
-// BuildColorIndex eagerly builds the lazy per-color adjacency index.
-// Succ and Pred build it on first use; that build is serialized behind
-// a mutex, so concurrent readers of an un-mutated graph are safe either
-// way, but calling BuildColorIndex once before handing the graph to
-// concurrent readers makes every subsequent Succ/Pred/BFS call a pure
-// read with no chance of lock contention on first touch
-// (internal/engine does this at construction). Idempotent; any later
-// mutation invalidates the index again.
-func (g *Graph) BuildColorIndex() { g.colorIndex() }
+// Row returns v's neighbors over the layer. The slice must not be
+// modified.
+func (l Layer) Row(v NodeID) []int32 { return l.to[l.off[v]:l.off[v+1]] }
 
-// Succ returns the successors of v via edges of color c (all colors when c
-// is AnyColor).
-func (g *Graph) Succ(v NodeID, c ColorID) []NodeID {
+// layers is the CSR of one adjacency state: per color, then the
+// wildcard, the forward and the reverse layer.
+type layers struct{ fwd, rev []Layer }
+
+// Layer returns the adjacency over edges of color c (every edge for
+// AnyColor): successors when forward, predecessors otherwise. It
+// allocates nothing once the graph's layers are built; the first read
+// after a mutation builds them for every color at once, in
+// O(m·|V| + |E|). Concurrent first readers of a graph nobody mutates
+// may each build and store them; the builds are identical, so that
+// wastes work but returns the same rows to every reader.
+func (g *Graph) Layer(c ColorID, forward bool) Layer {
+	ls := g.layers()
+	i := int(c)
 	if c == AnyColor {
-		out := make([]NodeID, len(g.out[v]))
-		for i, e := range g.out[v] {
-			out[i] = e.To
-		}
-		return out
+		i = len(ls.fwd) - 1
 	}
-	g.colorIndex()
-	bc := g.outByColor[c]
-	if int(v) >= len(bc) {
-		// Node added to a derived generation after the column was built;
-		// its postings live only in columns grown by cowOutBC.
-		return nil
+	if forward {
+		return ls.fwd[i]
 	}
-	return bc[v]
+	return ls.rev[i]
 }
 
-// Pred returns the predecessors of v via edges of color c (all colors when
-// c is AnyColor).
-func (g *Graph) Pred(v NodeID, c ColorID) []NodeID {
-	if c == AnyColor {
-		out := make([]NodeID, len(g.in[v]))
-		for i, e := range g.in[v] {
-			out[i] = e.To
+// BuildColorIndex eagerly builds the graph's CSR layers, so that every
+// later Layer call is a plain read. internal/engine calls it on every
+// generation before publishing it. Idempotent; any later mutation of
+// adjacency drops the layers again.
+func (g *Graph) BuildColorIndex() { g.layers() }
+
+func (g *Graph) layers() *layers {
+	if ls := g.csr.Load(); ls != nil {
+		return ls
+	}
+	if g.numEdges > math.MaxInt32 || len(g.nodes) > math.MaxInt32 {
+		panic(fmt.Sprintf("graph: %d nodes and %d edges exceed the CSR's int32 range", len(g.nodes), g.numEdges))
+	}
+	ls := &layers{fwd: buildLayers(g.out, len(g.colors)), rev: buildLayers(g.in, len(g.colors))}
+	g.csr.Store(ls)
+	return ls
+}
+
+// buildLayers lays out one direction's adjacency lists as m color layers
+// plus the wildcard layer last, each row in adjacency-list order.
+func buildLayers(adj [][]Edge, m int) []Layer {
+	size := make([]int, m+1)
+	for _, es := range adj {
+		for _, e := range es {
+			size[e.Color]++
 		}
-		return out
+		size[m] += len(es)
 	}
-	g.colorIndex()
-	bc := g.inByColor[c]
-	if int(v) >= len(bc) {
-		return nil
+	ls := make([]Layer, m+1)
+	for c := range ls {
+		ls[c] = Layer{off: make([]int32, 1, len(adj)+1), to: make([]int32, 0, size[c])}
 	}
-	return bc[v]
+	for _, es := range adj {
+		for _, e := range es {
+			ls[e.Color].to = append(ls[e.Color].to, int32(e.To))
+			ls[m].to = append(ls[m].to, int32(e.To))
+		}
+		for c := range ls {
+			ls[c].off = append(ls[c].off, int32(len(ls[c].to)))
+		}
+	}
+	return ls
 }
 
 // Unreachable is the distance of a node pair with no path between them.

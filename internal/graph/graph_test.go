@@ -58,19 +58,19 @@ func TestSuccPredByColor(t *testing.T) {
 	g.AddEdge(b, c, "x")
 	x, _ := g.ColorID("x")
 	y, _ := g.ColorID("y")
-	if got := g.Succ(a, x); len(got) != 1 || got[0] != b {
+	if got := g.Layer(x, true).Row(a); len(got) != 1 || NodeID(got[0]) != b {
 		t.Errorf("Succ(a,x) = %v, want [b]", got)
 	}
-	if got := g.Succ(a, y); len(got) != 1 || got[0] != c {
+	if got := g.Layer(y, true).Row(a); len(got) != 1 || NodeID(got[0]) != c {
 		t.Errorf("Succ(a,y) = %v, want [c]", got)
 	}
-	if got := g.Succ(a, AnyColor); len(got) != 2 {
+	if got := g.Layer(AnyColor, true).Row(a); len(got) != 2 {
 		t.Errorf("Succ(a,any) = %v, want 2 successors", got)
 	}
-	if got := g.Pred(c, x); len(got) != 1 || got[0] != b {
+	if got := g.Layer(x, false).Row(c); len(got) != 1 || NodeID(got[0]) != b {
 		t.Errorf("Pred(c,x) = %v, want [b]", got)
 	}
-	if got := g.Pred(c, AnyColor); len(got) != 2 {
+	if got := g.Layer(AnyColor, false).Row(c); len(got) != 2 {
 		t.Errorf("Pred(c,any) = %v, want 2 predecessors", got)
 	}
 }
@@ -81,10 +81,10 @@ func TestSuccIndexRebuiltAfterMutation(t *testing.T) {
 	b := g.AddNode("b", nil)
 	g.AddEdge(a, b, "x")
 	x, _ := g.ColorID("x")
-	_ = g.Succ(a, x) // build index
+	_ = g.Layer(x, true) // build the layers
 	c := g.AddNode("c", nil)
 	g.AddEdge(a, c, "x")
-	if got := g.Succ(a, x); len(got) != 2 {
+	if got := g.Layer(x, true).Row(a); len(got) != 2 {
 		t.Errorf("after mutation Succ(a,x) = %v, want 2 successors", got)
 	}
 }
@@ -236,18 +236,18 @@ func TestRemoveEdge(t *testing.T) {
 	g.AddEdge(a, b, "x") // parallel edge
 	g.AddEdge(a, b, "y")
 	x, _ := g.ColorID("x")
-	_ = g.Succ(a, x) // build the color index
+	_ = g.Layer(x, true) // build the layers
 	if !g.RemoveEdge(a, b, "x") {
 		t.Fatal("RemoveEdge should find the edge")
 	}
 	if g.NumEdges() != 2 {
 		t.Errorf("NumEdges = %d, want 2", g.NumEdges())
 	}
-	// One x edge remains, and the index must reflect the removal.
-	if got := g.Succ(a, x); len(got) != 1 {
+	// One x edge remains, and the layers must reflect the removal.
+	if got := g.Layer(x, true).Row(a); len(got) != 1 {
 		t.Errorf("Succ(a,x) after removal = %v, want one edge", got)
 	}
-	if got := g.Pred(b, x); len(got) != 1 {
+	if got := g.Layer(x, false).Row(b); len(got) != 1 {
 		t.Errorf("Pred(b,x) after removal = %v, want one edge", got)
 	}
 	if !g.RemoveEdge(a, b, "x") || g.RemoveEdge(a, b, "x") {

@@ -177,13 +177,14 @@ func (inc *Incremental) backwardBallMulti(centers []graph.NodeID) []bool {
 			frontier = append(frontier, src)
 		}
 	}
+	pred := inc.g.Layer(graph.AnyColor, false)
 	for d := 0; d < inc.radius && len(frontier) > 0; d++ {
 		var next []graph.NodeID
 		for _, v := range frontier {
-			for _, w := range inc.g.Pred(v, graph.AnyColor) {
+			for _, w := range pred.Row(v) {
 				if !seen[w] {
 					seen[w] = true
-					next = append(next, w)
+					next = append(next, graph.NodeID(w))
 				}
 			}
 		}

@@ -61,8 +61,9 @@ func Build(g *graph.Graph, k int) *Index {
 
 func buildLayer(g *graph.Graph, c graph.ColorID, k int, rng *rand.Rand) layer {
 	n := g.NumNodes()
+	succ := g.Layer(c, true)
 	comps := graph.SCC(n, func(v int) []int {
-		succs := g.Succ(graph.NodeID(v), c)
+		succs := succ.Row(graph.NodeID(v))
 		out := make([]int, len(succs))
 		for i, s := range succs {
 			out[i] = int(s)
@@ -76,7 +77,7 @@ func buildLayer(g *graph.Graph, c graph.ColorID, k int, rng *rand.Rand) layer {
 			la.comp[v] = int32(ci)
 			if !multi && !la.cycle[ci] {
 				// Singleton component: cyclic only with a self-loop.
-				for _, w := range g.Succ(graph.NodeID(v), c) {
+				for _, w := range succ.Row(graph.NodeID(v)) {
 					if int(w) == v {
 						la.cycle[ci] = true
 						break
@@ -94,7 +95,7 @@ func buildLayer(g *graph.Graph, c graph.ColorID, k int, rng *rand.Rand) layer {
 	seen := map[[2]int32]bool{}
 	for v := 0; v < n; v++ {
 		cv := la.comp[v]
-		for _, w := range g.Succ(graph.NodeID(v), c) {
+		for _, w := range succ.Row(graph.NodeID(v)) {
 			cw := la.comp[w]
 			if cv != cw && !seen[[2]int32{cv, cw}] {
 				seen[[2]int32{cv, cw}] = true
