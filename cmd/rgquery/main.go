@@ -54,8 +54,7 @@
 // over bidirectional search) or auto (matrix if it fits -membudget
 // bytes, else 2-hop under the same budget, else cache). -grail K
 // fronts a searching backend with a GRAIL negative reachability
-// filter. The legacy -matrix bool remains a shorthand for
-// matrix/cache.
+// filter.
 //
 // With -demo the built-in Fig. 1 Essembly graph is used.
 package main
@@ -97,9 +96,8 @@ func main() {
 		dialTries = flag.Int("dial-retries", 3, "remote: retries if the initial connection is refused (0 = fail on first refusal)")
 		dialWait  = flag.Duration("dial-backoff", 100*time.Millisecond, "remote: first retry delay, doubled per attempt (capped at 2s)")
 		workers   = flag.Int("workers", 0, "batch worker count (0 = GOMAXPROCS)")
-		useMatrix = flag.Bool("matrix", true, "precompute the distance matrix (shorthand for -backend matrix/cache)")
-		backend   = flag.String("backend", "", "distance backend: matrix, twohop, cache or auto (overrides -matrix)")
-		memBudget = flag.Int64("membudget", 1<<30, "auto backend: index memory budget in bytes")
+		backend   = flag.String("backend", "matrix", "distance backend: matrix, twohop, cache or auto")
+		memBudget = flag.Int64("membudget", 0, "auto backend: index memory budget in bytes (0 = 1 GiB; only with -backend auto)")
 		grailK    = flag.Int("grail", 0, "install a GRAIL reachability filter with k traversals in front of the backend (0 = off; not with matrix)")
 		candIdx   = flag.Bool("candidx", true, "use the attribute inverted index for predicate candidates (false = O(|V|) scan)")
 		minimize  = flag.Bool("minimize", false, "PQ: minimize before evaluating")
@@ -139,11 +137,10 @@ func main() {
 	}
 	fmt.Fprintf(banner, "graph: %d nodes, %d edges, colors %v\n", g.NumNodes(), g.NumEdges(), g.Colors())
 
-	opts, err := engineOptions(g, *backend, *useMatrix, *workers, *grailK, *memBudget, *candIdx)
-	if err != nil {
-		fatal(err)
-	}
-	e, err := regraph.NewEngine(g, opts)
+	e, err := regraph.NewEngine(g, regraph.EngineOptions{
+		Workers: *workers, DisableCandidateIndex: !*candIdx,
+		BackendKind: *backend, MemoryBudget: *memBudget, ReachFilterK: *grailK,
+	})
 	if err != nil {
 		fatal(err)
 	}
@@ -165,38 +162,6 @@ func main() {
 	default:
 		fatal(fmt.Errorf("nothing to do: give -expr (RQ), -pattern (PQ) or -batch (RQ file)"))
 	}
-}
-
-// engineOptions translates the backend flags into EngineOptions. The
-// legacy -matrix bool is honored when -backend is not given: true
-// means "matrix", false means "cache".
-func engineOptions(g *regraph.Graph, backend string, useMatrix bool, workers, grailK int, memBudget int64, candIdx bool) (regraph.EngineOptions, error) {
-	o := regraph.EngineOptions{Workers: workers, DisableCandidateIndex: !candIdx}
-	if backend == "" {
-		if useMatrix {
-			backend = "matrix"
-		} else {
-			backend = "cache"
-		}
-	}
-	switch backend {
-	case "matrix":
-		if grailK > 0 {
-			return o, fmt.Errorf("-grail needs a searching backend (twohop, cache or auto), not matrix")
-		}
-		o.BackendKind = "matrix"
-	case "twohop":
-		o.BackendKind = "twohop"
-	case "cache":
-		// The engine creates its own cache.
-	case "auto":
-		o.AutoBackend = true
-		o.MemoryBudget = memBudget
-	default:
-		return o, fmt.Errorf("unknown -backend %q (want matrix, twohop, cache or auto)", backend)
-	}
-	o.ReachFilterK = grailK
-	return o, nil
 }
 
 // ---- remote mode -----------------------------------------------------------

@@ -66,9 +66,8 @@ func main() {
 		graphPath     = flag.String("graph", "", "graph file (TSV, see graph.WriteTSV)")
 		demo          = flag.Bool("demo", false, "use the built-in Fig. 1 Essembly graph")
 		workers       = flag.Int("workers", 0, "engine worker count (0 = GOMAXPROCS)")
-		useMatrix     = flag.Bool("matrix", true, "precompute the distance matrix (shorthand for -backend matrix/cache)")
-		backend       = flag.String("backend", "", "distance backend: matrix, twohop, cache or auto (overrides -matrix)")
-		memBudget     = flag.Int64("membudget", 1<<30, "auto backend: index memory budget in bytes")
+		backend       = flag.String("backend", "matrix", "distance backend: matrix, twohop, cache or auto")
+		memBudget     = flag.Int64("membudget", 0, "auto backend: index memory budget in bytes (0 = 1 GiB; only with -backend auto)")
 		grailK        = flag.Int("grail", 0, "install a GRAIL reachability filter with k traversals in front of the backend (0 = off; not with matrix)")
 		candIdx       = flag.Bool("candidx", true, "build the attribute inverted index")
 		maxInFlight   = flag.Int("maxinflight", 0, "per-stream admission bound (0 = 2x workers)")
@@ -100,34 +99,13 @@ func main() {
 			g.NumNodes(), g.NumEdges(), g.Colors())
 	}
 
-	kind := *backend
-	if kind == "" {
-		if *useMatrix {
-			kind = "matrix"
-		} else {
-			kind = "cache"
-		}
+	// The engine judges the flag combination (a budget or -grail the
+	// backend would ignore is an error) and builds the backend itself.
+	opts := regraph.EngineOptions{
+		Workers: *workers, DisableCandidateIndex: !*candIdx,
+		BackendKind: *backend, MemoryBudget: *memBudget, ReachFilterK: *grailK,
 	}
-	opts := regraph.EngineOptions{Workers: *workers, DisableCandidateIndex: !*candIdx, ReachFilterK: *grailK}
 	t0 := time.Now()
-	// The engine builds every backend itself (BackendKind, not an
-	// externally constructed Matrix/TwoHop): only engine-built backends
-	// can be rebuilt per generation, and a serving engine must stay
-	// mutable for /v1/mutate.
-	switch kind {
-	case "matrix":
-		if *grailK > 0 {
-			fatal(fmt.Errorf("-grail needs a searching backend (twohop, cache or auto), not matrix"))
-		}
-		opts.BackendKind = "matrix"
-	case "twohop", "cache":
-		opts.BackendKind = kind
-	case "auto":
-		opts.AutoBackend = true
-		opts.MemoryBudget = *memBudget
-	default:
-		fatal(fmt.Errorf("unknown -backend %q (want matrix, twohop, cache or auto)", kind))
-	}
 	var e *regraph.Engine
 	if *walDir == "" {
 		var err error

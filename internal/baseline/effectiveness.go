@@ -1,11 +1,10 @@
-// Package metrics implements the effectiveness measures of the paper's
-// Exp-1: precision, recall and F-measure over sets of (pattern node, data
+package baseline
+
+// This file holds the effectiveness measures of the paper's Exp-1:
+// precision, recall and F-measure over sets of (pattern node, data
 // node) match pairs, where the "true" matches are those satisfying both
 // the node predicates and the regular-expression edge constraints (i.e.
 // the PQ answer itself).
-package metrics
-
-import "regraph/internal/baseline"
 
 // PRF holds precision, recall and F-measure.
 type PRF struct {
@@ -23,7 +22,7 @@ type PRF struct {
 // Degenerate cases: with no true matches recall is 1 when nothing was
 // found (vacuously correct) and 0 otherwise; with nothing found precision
 // is 1 when there were no true matches and 0 otherwise.
-func Evaluate(found, truth map[baseline.NodeMatch]bool) PRF {
+func Evaluate(found, truth map[NodeMatch]bool) PRF {
 	truePos := 0
 	for m := range found {
 		if truth[m] {

@@ -1,4 +1,4 @@
-package metrics_test
+package baseline_test
 
 import (
 	"math"
@@ -6,7 +6,6 @@ import (
 
 	"regraph/internal/baseline"
 	"regraph/internal/graph"
-	"regraph/internal/metrics"
 )
 
 func nm(u, v int) baseline.NodeMatch {
@@ -25,7 +24,7 @@ func approx(a, b float64) bool { return math.Abs(a-b) < 1e-9 }
 
 func TestEvaluatePerfect(t *testing.T) {
 	truth := set(nm(0, 1), nm(1, 2))
-	got := metrics.Evaluate(truth, truth)
+	got := baseline.Evaluate(truth, truth)
 	if !approx(got.Precision, 1) || !approx(got.Recall, 1) || !approx(got.FMeasure, 1) {
 		t.Errorf("perfect match scored %+v", got)
 	}
@@ -34,7 +33,7 @@ func TestEvaluatePerfect(t *testing.T) {
 func TestEvaluatePartial(t *testing.T) {
 	truth := set(nm(0, 1), nm(1, 2), nm(1, 3), nm(2, 4))
 	found := set(nm(0, 1), nm(1, 2), nm(9, 9), nm(8, 8))
-	got := metrics.Evaluate(found, truth)
+	got := baseline.Evaluate(found, truth)
 	if !approx(got.Precision, 0.5) {
 		t.Errorf("precision = %v, want 0.5", got.Precision)
 	}
@@ -50,7 +49,7 @@ func TestEvaluateHighRecallLowPrecision(t *testing.T) {
 	// The Match baseline's profile: finds all true matches plus noise.
 	truth := set(nm(0, 1), nm(1, 2))
 	found := set(nm(0, 1), nm(1, 2), nm(0, 3), nm(1, 4), nm(0, 5), nm(1, 6))
-	got := metrics.Evaluate(found, truth)
+	got := baseline.Evaluate(found, truth)
 	if !approx(got.Recall, 1) {
 		t.Errorf("recall = %v, want 1", got.Recall)
 	}
@@ -66,13 +65,13 @@ func TestEvaluateHighRecallLowPrecision(t *testing.T) {
 func TestEvaluateDegenerate(t *testing.T) {
 	empty := set()
 	truth := set(nm(0, 1))
-	if got := metrics.Evaluate(empty, empty); !approx(got.FMeasure, 1) {
+	if got := baseline.Evaluate(empty, empty); !approx(got.FMeasure, 1) {
 		t.Errorf("both empty should score 1, got %+v", got)
 	}
-	if got := metrics.Evaluate(empty, truth); !approx(got.Recall, 0) || !approx(got.FMeasure, 0) {
+	if got := baseline.Evaluate(empty, truth); !approx(got.Recall, 0) || !approx(got.FMeasure, 0) {
 		t.Errorf("found nothing: %+v", got)
 	}
-	if got := metrics.Evaluate(truth, empty); !approx(got.Precision, 0) || !approx(got.FMeasure, 0) {
+	if got := baseline.Evaluate(truth, empty); !approx(got.Precision, 0) || !approx(got.FMeasure, 0) {
 		t.Errorf("found noise only: %+v", got)
 	}
 }

@@ -12,7 +12,9 @@
 //
 // Both consume the same pattern.Query type the main algorithms use, which
 // is how the paper sets up its fairness comparison (queries restricted to
-// one color per edge to favor SubIso).
+// one color per edge to favor SubIso). Evaluate scores their NodeMatch
+// sets against the PQ answer with the Exp-1 precision, recall and
+// F-measure.
 package baseline
 
 import (

@@ -37,7 +37,7 @@ func Cluster(e *Env) *Table {
 		XLabel: "config",
 		Series: []string{"offered-qps", "achieved-qps", "p50-ms", "p99-ms", "unavailable", "errors"},
 	}
-	g, mx, _ := e.YouTube()
+	g, _, _ := e.YouTube()
 
 	// Count-only RQ templates — the idempotent-read workload the
 	// router's retry policy is sound for.
@@ -58,7 +58,7 @@ func Cluster(e *Env) *Table {
 		var stops []func()
 		urls := make([]string, n)
 		for i := 0; i < n; i++ {
-			en := engine.MustNew(g, engine.Options{Workers: 1, Matrix: mx})
+			en := engine.MustNew(g, engine.Options{Workers: 1, BackendKind: "matrix"})
 			srv := server.New(en, server.Options{MaxInFlight: 256})
 			l, err := net.Listen("tcp", "127.0.0.1:0")
 			if err != nil {

@@ -5,7 +5,6 @@ import (
 
 	"regraph/internal/baseline"
 	"regraph/internal/gen"
-	"regraph/internal/metrics"
 	"regraph/internal/pattern"
 	"regraph/internal/predicate"
 	"regraph/internal/rex"
@@ -119,11 +118,11 @@ func Fig9b(e *Env) *Table {
 		for _, q := range qs {
 			truthRes := pattern.JoinMatch(g, q, pattern.Options{Backend: mx})
 			truth := baseline.ResultNodePairs(q, truthRes)
-			fJoin += metrics.Evaluate(truth, truth).FMeasure
+			fJoin += baseline.Evaluate(truth, truth).FMeasure
 			found := baseline.ResultNodePairs(q, baseline.Match(g, q, pattern.Options{Backend: mx}))
-			fMatch += metrics.Evaluate(found, truth).FMeasure
+			fMatch += baseline.Evaluate(found, truth).FMeasure
 			ms, _ := baseline.SubIso(g, q, baseline.SubIsoOptions{MaxSteps: 2_000_000})
-			fSub += metrics.Evaluate(baseline.NodePairs(q, ms), truth).FMeasure
+			fSub += baseline.Evaluate(baseline.NodePairs(q, ms), truth).FMeasure
 		}
 		n := float64(len(qs))
 		t.Add(fmt.Sprintf("(%d,%d)", pt.vp, pt.ep), map[string]float64{

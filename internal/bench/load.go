@@ -32,12 +32,12 @@ func ServerLoad(e *Env) *Table {
 		XLabel: "offered",
 		Series: []string{"offered-qps", "achieved-qps", "p50-ms", "p99-ms", "p999-ms", "shed-%", "miss-%"},
 	}
-	g, mx, _ := e.YouTube()
+	g, _, _ := e.YouTube()
 	// A wide admission window puts the overload backlog inside the
 	// deadline scheduler (where it can be shed and reordered) instead
 	// of in TCP buffers where no QoS applies; adaptive admission then
 	// shrinks the effective bound to what the deadline budgets allow.
-	en := engine.MustNew(g, engine.Options{Matrix: mx})
+	en := engine.MustNew(g, engine.Options{BackendKind: "matrix"})
 	srv := server.New(en, server.Options{MaxInFlight: 4096, AdaptiveInFlight: true})
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {

@@ -29,8 +29,8 @@ func ServerThroughput(e *Env) *Table {
 		Unit:   "s",
 		Series: []string{"Session", "HTTP"},
 	}
-	g, mx, _ := e.YouTube()
-	en := engine.MustNew(g, engine.Options{Matrix: mx})
+	g, _, _ := e.YouTube()
+	en := engine.MustNew(g, engine.Options{BackendKind: "matrix"})
 	srv := server.New(en, server.Options{})
 	l, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {

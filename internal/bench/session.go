@@ -29,8 +29,8 @@ func EngineSession(e *Env) *Table {
 		Unit:   "s",
 		Series: []string{"RunBatch", "Session", "SessionEmit"},
 	}
-	g, mx, _ := e.YouTube()
-	en := engine.MustNew(g, engine.Options{Matrix: mx})
+	g, _, _ := e.YouTube()
+	en := engine.MustNew(g, engine.Options{BackendKind: "matrix"})
 	for _, base := range []int{128, 512} {
 		nq := base * e.Cfg.QueriesPerPoint
 		r := e.Rand(int64(9900 + nq))

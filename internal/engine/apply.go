@@ -1,7 +1,7 @@
 package engine
 
 import (
-	"errors"
+	"context"
 	"fmt"
 	"sort"
 
@@ -13,12 +13,6 @@ import (
 	"regraph/internal/reach"
 	"regraph/internal/reachidx"
 )
-
-// ErrReadOnly is returned by Apply when the engine's backend
-// configuration cannot be rebuilt per generation (externally owned
-// Matrix/Cache/Backend or an external ReachFilter). Queries keep
-// working; mutation needs an engine-built backend.
-var ErrReadOnly = errors.New("engine: read-only")
 
 // Commit reports one Apply batch: a per-op ack slice in op order, the
 // generation the batch committed as, and the graph size after it. When
@@ -64,13 +58,9 @@ func (e *Engine) Apply(ops []mutate.Op) (Commit, error) {
 
 // apply is Apply with the backend rebuild optional. Recover replays with
 // rebuild off: the generations it publishes have no reader, so their
-// layers are left unbuilt and their backends nil (or carried over by an
-// attribute-only batch), and one backend is built for the final
-// generation instead of one per replayed batch.
+// layers are left unbuilt and their backends nil, and one backend is
+// built for the final generation instead of one per replayed batch.
 func (e *Engine) apply(ops []mutate.Op, rebuild bool) (Commit, error) {
-	if e.immutable != nil {
-		return Commit{}, e.immutable
-	}
 	e.writeMu.Lock()
 	defer e.writeMu.Unlock()
 
@@ -179,8 +169,7 @@ func (e *Engine) apply(ops []mutate.Op, rebuild bool) (Commit, error) {
 		// adjacency and |V|, so the predecessor's backend serves ng as is.
 		ns.be = base.be
 	case rebuild:
-		ng.BuildColorIndex()
-		ns.be = e.rebuildBackend(ng)
+		ns.be = e.buildBackend(ng)
 	}
 	if base.cands != nil {
 		// Incremental index maintenance: clone only the touched posting
@@ -216,32 +205,41 @@ func pick(from, to string, fromOK bool) string {
 	return to
 }
 
-// rebuildBackend constructs the new generation's distance backend, the
-// same kind New selected. The matrix and 2-hop labels are full rebuilds
-// (they are closed-form indexes over the whole graph); the cache
-// restarts cold at its configured capacity and re-fills from queries,
-// exactly as the paper's shared cache is populated. A GRAIL filter
-// requested via ReachFilterK is rebuilt and re-installed.
-func (e *Engine) rebuildBackend(ng *graph.Graph) dist.Backend {
-	be := newBackend(e.kind, ng, e.cacheSize)
-	if e.filterK > 0 {
-		if fb, ok := be.(filterable); ok {
-			fb.SetFilter(reachidx.Build(ng, e.filterK))
+// buildBackend builds g's CSR layers, which the backend reads, and
+// then g's distance backend of the engine's kind: New calls it for
+// generation 0, Apply for every committed batch that changes adjacency,
+// Recover once for the generation it ends at. The matrix and 2-hop
+// labels are full rebuilds (they are closed-form indexes over the whole
+// graph); the cache restarts cold at its configured capacity and
+// re-fills from queries, exactly as the paper's shared cache is
+// populated. A GRAIL filter requested via ReachFilterK is rebuilt and
+// installed. The first build resolves "auto" to the kind every later
+// build repeats; it runs before the engine has a reader.
+func (e *Engine) buildBackend(g *graph.Graph) dist.Backend {
+	g.BuildColorIndex()
+	var be dist.Backend
+	switch e.kind {
+	case "matrix":
+		be = dist.NewMatrix(g)
+	case "twohop":
+		be = dist.NewTwoHop(g)
+	case "cache":
+		be = dist.NewCache(g, e.cacheSize)
+	case "auto":
+		if dist.PredictMatrixBytes(g) <= e.budget {
+			be, e.kind = dist.NewMatrix(g), "matrix"
+		} else if th, err := dist.NewTwoHopBudget(context.Background(), g, e.budget); err == nil {
+			be, e.kind = th, "twohop"
+		} else {
+			// Labels blew the budget too: the O(capacity) cache is the
+			// only backend whose footprint does not depend on the graph.
+			be, e.kind = dist.NewCache(g, e.cacheSize), "cache"
 		}
 	}
-	return be
-}
-
-// newBackend builds a backend of an engine-buildable kind over g.
-func newBackend(kind string, g *graph.Graph, cacheSize int) dist.Backend {
-	switch kind {
-	case "matrix":
-		return dist.NewMatrix(g)
-	case "twohop":
-		return dist.NewTwoHop(g)
-	default: // "cache" — the engine-built LRU
-		return dist.NewCache(g, cacheSize)
+	if fb, ok := be.(filterable); ok && e.filterK > 0 {
+		fb.SetFilter(reachidx.Build(g, e.filterK))
 	}
+	return be
 }
 
 // ---- standing queries -----------------------------------------------------

@@ -2,7 +2,6 @@ package engine_test
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"math/rand"
 	"runtime"
@@ -10,7 +9,6 @@ import (
 	"testing"
 	"time"
 
-	"regraph/internal/dist"
 	"regraph/internal/engine"
 	"regraph/internal/graph"
 	"regraph/internal/mutate"
@@ -199,26 +197,9 @@ func TestApplyBasics(t *testing.T) {
 	}
 }
 
-// TestApplyReadOnly: externally owned backends make Apply refuse.
-func TestApplyReadOnly(t *testing.T) {
-	r := rand.New(rand.NewSource(1))
-	g := mutBase(r, 20)
-	for _, opts := range []engine.Options{
-		{Backend: dist.NewTwoHop(g)},
-		{Cache: dist.NewCache(g, 64)},
-		{Matrix: dist.NewMatrix(g)},
-	} {
-		e := engine.MustNew(g, opts)
-		if _, err := e.Apply([]mutate.Op{{Verb: mutate.VerbAddNode, Node: "zz"}}); !errors.Is(err, engine.ErrReadOnly) {
-			t.Fatalf("opts %+v: Apply err = %v, want ErrReadOnly", opts, err)
-		}
-	}
-}
-
-// TestApplyBackendKinds: a backend the engine built itself (selected by
-// name via Options.BackendKind) keeps the engine mutable — every kind
-// commits generations and answers match a scan-mode oracle over the
-// replayed graph.
+// TestApplyBackendKinds: whichever backend Options.BackendKind names,
+// the engine commits generations and answers match a scan-mode oracle
+// over the replayed graph.
 func TestApplyBackendKinds(t *testing.T) {
 	for _, kind := range []string{"matrix", "twohop", "cache"} {
 		t.Run(kind, func(t *testing.T) {
@@ -244,20 +225,6 @@ func TestApplyBackendKinds(t *testing.T) {
 			reqs := mutQueries()
 			sameResults(t, kind, e.RunBatch(reqs), oracle.RunBatch(reqs))
 		})
-	}
-
-	// Shape errors: an unknown kind, and CacheSize with a kind that
-	// ignores it, are configuration errors, not silent defaults.
-	g := mutBase(rand.New(rand.NewSource(5)), 10)
-	for _, opts := range []engine.Options{
-		{BackendKind: "bitmap"},
-		{BackendKind: "matrix", CacheSize: 64},
-		{BackendKind: "matrix", ReachFilterK: 2},
-		{BackendKind: "cache", AutoBackend: true},
-	} {
-		if _, err := engine.New(g, opts); !errors.Is(err, engine.ErrOptions) {
-			t.Errorf("opts %+v: err = %v, want ErrOptions", opts, err)
-		}
 	}
 }
 

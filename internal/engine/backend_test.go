@@ -9,28 +9,19 @@ import (
 	"regraph/internal/engine"
 	"regraph/internal/gen"
 	"regraph/internal/pattern"
-	"regraph/internal/reachidx"
 )
 
-// TestOptionsValidation: every ambiguous Options combination must be
-// rejected with an error wrapping ErrOptions — no quiet precedence.
+// TestOptionsValidation: an unknown backend kind, and every setting the
+// chosen kind would silently ignore, is rejected with an error wrapping
+// ErrOptions — one row per rule; "auto" takes both a budget and a
+// filter.
 func TestOptionsValidation(t *testing.T) {
 	g := testGraph(21)
-	mx := dist.NewMatrix(g)
-	ca := dist.NewCache(g, 64)
-	th := dist.NewTwoHop(g)
 	bad := map[string]engine.Options{
-		"matrix+cache":        {Matrix: mx, Cache: ca},
-		"matrix+backend":      {Matrix: mx, Backend: th},
-		"cache+backend":       {Cache: ca, Backend: th},
-		"matrix+auto":         {Matrix: mx, AutoBackend: true},
-		"cachesize+matrix":    {Matrix: mx, CacheSize: 128},
-		"cachesize+cache":     {Cache: ca, CacheSize: 128},
-		"cachesize+backend":   {Backend: th, CacheSize: 128},
-		"budget-without-auto": {MemoryBudget: 1 << 20},
-		"filter+filterk":      {ReachFilter: reachidx.Build(g, 1), ReachFilterK: 2},
-		"filter+matrix":       {Matrix: mx, ReachFilterK: 2},
-		"filter+unfilterable": {Backend: mx, ReachFilterK: 2},
+		"unknown-kind":     {BackendKind: "bitmap"},
+		"cachesize+matrix": {BackendKind: "matrix", CacheSize: 128},
+		"budget+cache":     {MemoryBudget: 1 << 20},
+		"filter+matrix":    {BackendKind: "matrix", ReachFilterK: 2},
 	}
 	for name, opts := range bad {
 		if _, err := engine.New(g, opts); !errors.Is(err, engine.ErrOptions) {
@@ -38,12 +29,9 @@ func TestOptionsValidation(t *testing.T) {
 		}
 	}
 	good := map[string]engine.Options{
-		"default":         {},
-		"cachesize-alone": {CacheSize: 128},
-		"cachesize+auto":  {AutoBackend: true, CacheSize: 128},
-		"filter+cache":    {Cache: dist.NewCache(g, 64), ReachFilterK: 2},
-		"filter+twohop":   {Backend: th, ReachFilterK: 2},
-		"filter+auto":     {AutoBackend: true, ReachFilterK: 2},
+		"default":     {},
+		"auto+budget": {BackendKind: "auto", MemoryBudget: 1 << 20},
+		"auto+filter": {BackendKind: "auto", ReachFilterK: 2},
 	}
 	for name, opts := range good {
 		if _, err := engine.New(g, opts); err != nil {
@@ -52,19 +40,19 @@ func TestOptionsValidation(t *testing.T) {
 	}
 }
 
-// TestAutoBackendSelection: the heuristic must pick the matrix when it
-// fits the budget, 2-hop labels when only they fit, and the cache when
-// nothing fits.
-func TestAutoBackendSelection(t *testing.T) {
+// TestBackendAutoSelection: the "auto" heuristic must pick the matrix
+// when it fits the budget, 2-hop labels when only they fit, and the
+// cache when nothing fits.
+func TestBackendAutoSelection(t *testing.T) {
 	g := testGraph(23)
 	matrixBytes := dist.PredictMatrixBytes(g)
 
-	e := engine.MustNew(g, engine.Options{AutoBackend: true, MemoryBudget: matrixBytes})
-	if e.BackendKind() != "matrix" || e.Matrix() == nil {
+	e := engine.MustNew(g, engine.Options{BackendKind: "auto", MemoryBudget: matrixBytes})
+	if _, ok := e.Backend().(*dist.Matrix); e.BackendKind() != "matrix" || !ok {
 		t.Fatalf("budget == matrix size: kind %q", e.BackendKind())
 	}
 
-	e = engine.MustNew(g, engine.Options{AutoBackend: true, MemoryBudget: matrixBytes - 1})
+	e = engine.MustNew(g, engine.Options{BackendKind: "auto", MemoryBudget: matrixBytes - 1})
 	if e.BackendKind() != "twohop" {
 		t.Fatalf("budget below matrix: kind %q", e.BackendKind())
 	}
@@ -76,8 +64,8 @@ func TestAutoBackendSelection(t *testing.T) {
 		t.Fatalf("selected index (%d bytes) exceeds its budget (%d)", th.Size(), matrixBytes-1)
 	}
 
-	e = engine.MustNew(g, engine.Options{AutoBackend: true, MemoryBudget: 64})
-	if e.BackendKind() != "cache" || e.Cache() == nil {
+	e = engine.MustNew(g, engine.Options{BackendKind: "auto", MemoryBudget: 64})
+	if _, ok := e.Backend().(*dist.Cache); e.BackendKind() != "cache" || !ok {
 		t.Fatalf("tiny budget: kind %q", e.BackendKind())
 	}
 }
@@ -88,7 +76,6 @@ func TestAutoBackendSelection(t *testing.T) {
 func TestBackendEquivalence(t *testing.T) {
 	g := testGraph(29)
 	qs := testRQs(g, 40, 31)
-	mx := dist.NewMatrix(g)
 
 	want := make([]string, len(qs))
 	for i, q := range qs {
@@ -100,13 +87,13 @@ func TestBackendEquivalence(t *testing.T) {
 	wantPQ := pattern.JoinMatch(g, pq, pattern.Options{}).String(g)
 
 	for name, opts := range map[string]engine.Options{
-		"matrix":        {Matrix: mx},
+		"matrix":        {BackendKind: "matrix"},
 		"cache":         {},
-		"twohop":        {Backend: dist.NewTwoHop(g)},
-		"twohop+grail":  {Backend: dist.NewTwoHop(g), ReachFilterK: 2},
-		"cache+grail":   {ReachFilterK: 2, Cache: dist.NewCache(g, 1024)},
-		"auto":          {AutoBackend: true},
-		"auto-no-index": {AutoBackend: true, MemoryBudget: 64, DisableCandidateIndex: true},
+		"twohop":        {BackendKind: "twohop"},
+		"twohop+grail":  {BackendKind: "twohop", ReachFilterK: 2},
+		"cache+grail":   {ReachFilterK: 2, CacheSize: 1024},
+		"auto":          {BackendKind: "auto"},
+		"auto-no-index": {BackendKind: "auto", MemoryBudget: 64, DisableCandidateIndex: true},
 	} {
 		e := engine.MustNew(g, opts)
 		got := e.RunRQs(qs)

@@ -1,9 +1,9 @@
 // Package engine is the resident concurrent query engine: one Engine
-// owns a data graph together with its shared distance structures (a
-// precomputed dist.Matrix, or a dist.Cache shared by every worker — the
-// paper's Section 4 explicitly designs the cache to be shared across
-// queries), and evaluates reachability and pattern queries across a
-// bounded worker pool.
+// owns a data graph together with the distance backend it builds for it
+// (a precomputed dist.Matrix, 2-hop labels, or a dist.Cache shared by
+// every worker — the paper's Section 4 explicitly designs the cache to
+// be shared across queries), and evaluates reachability and pattern
+// queries across a bounded worker pool.
 //
 // Queries enter through a Session (Engine.Open): Submit admits requests
 // under a configurable in-flight bound (back-pressure), Results streams
@@ -46,78 +46,47 @@ import (
 	"regraph/internal/graph"
 	"regraph/internal/pattern"
 	"regraph/internal/reach"
-	"regraph/internal/reachidx"
 	"regraph/internal/wal"
 )
 
-// Options configures an Engine. At most one of Matrix, Cache, Backend
-// and AutoBackend may be set — they are four answers to the same
-// question (which distance backend serves this engine), and New rejects
-// ambiguous combinations instead of applying a quiet precedence rule.
-// With none set, the engine creates an LRU cache of CacheSize entries,
-// the historical default.
+// Options configures an Engine. The engine builds its distance backend
+// itself, by name, and rebuilds it for every committed generation, so
+// every engine accepts Apply.
 type Options struct {
 	// Workers bounds evaluation concurrency (and the number of resident
 	// scratch arenas). Zero or negative means GOMAXPROCS.
 	Workers int
 
-	// Matrix, when non-nil, selects matrix-backed evaluation for every
-	// query: single-atom checks of RQs and PQs are O(1) cell loads. The
-	// matrix is immutable and shared by all workers freely.
-	Matrix *dist.Matrix
-
-	// Cache is a shared LRU distance cache to use as the backend.
-	Cache *dist.Cache
-
-	// Backend supplies any other distance backend (typically a
-	// dist.TwoHop built by the caller). Single-atom RQ and PQ edge
-	// checks become backend lookups; multi-atom expressions use the
-	// closure search as in cache mode.
-	Backend dist.Backend
-
-	// BackendKind asks the engine to build the named backend itself:
-	// "matrix", "twohop" or "cache" (sized by CacheSize). It selects
-	// the same structures as passing Matrix/Backend/Cache built by the
-	// caller, with one crucial difference: an engine-built backend can
-	// be rebuilt per generation, so the engine stays mutable — Apply
-	// works. Externally supplied backends make the engine read-only.
-	// Counts as a backend selector (conflicts with Matrix, Cache,
-	// Backend and AutoBackend).
+	// BackendKind names the distance backend:
+	//   - "matrix": the Section 4 distance matrix, (m+1)·|V|² bytes;
+	//     single-atom checks of RQs and PQs are O(1) cell loads.
+	//   - "twohop": 2-hop labels, answering Dist by a sorted merge.
+	//   - "cache": an LRU distance cache of CacheSize entries over
+	//     bidirectional search (Section 5). "" means "cache".
+	//   - "auto": the matrix when its bytes fit MemoryBudget, else
+	//     2-hop labels built under the same budget, else the cache. The
+	//     choice is made on the first graph the engine builds a backend
+	//     for — the seed for New, the recovered graph for Recover — and
+	//     is then fixed; Engine.BackendKind reports it.
 	BackendKind string
 
-	// AutoBackend picks the backend from the graph and MemoryBudget:
-	// the matrix when its (m+1)·|V|² bytes fit the budget (fastest
-	// lookups), else a 2-hop label index built under the same budget,
-	// else — when even the labels exceed the budget — a fresh LRU
-	// cache of CacheSize entries. The choice is observable via
-	// BackendKind.
-	AutoBackend bool
-
-	// MemoryBudget bounds AutoBackend's index memory in bytes
-	// (default 1 GiB). Ignored unless AutoBackend is set.
-	MemoryBudget int64
-
-	// CacheSize sizes the engine-created cache (default 1<<16) — the
-	// default backend, or AutoBackend's last resort. Setting it
-	// together with Matrix, Cache or Backend is a configuration error:
-	// it would be silently ignored.
+	// CacheSize sizes the cache (default 1<<16) of "cache", "" or
+	// "auto"'s last resort. Setting it with "matrix" or "twohop" is a
+	// configuration error: it would be silently ignored.
 	CacheSize int
 
-	// ReachFilter installs a sound negative reachability oracle
-	// (typically a GRAIL interval index, regraph.NewReachIndex) in
-	// front of the selected backend: pairs the filter refutes skip the
-	// backend entirely. Negative-only soundness means answers are
-	// unchanged. The backend must support filtering (Cache and TwoHop
-	// do; a Matrix lookup is already O(1) and has no filter hook, so
-	// combining ReachFilter with an explicit Matrix is a configuration
-	// error; AutoBackend simply drops the filter if it picks the
-	// matrix).
-	ReachFilter dist.Filter
+	// MemoryBudget bounds "auto"'s index memory in bytes (zero or
+	// negative means 1 GiB). Setting it with any other kind is a
+	// configuration error.
+	MemoryBudget int64
 
-	// ReachFilterK builds a GRAIL filter with k interval traversals at
-	// construction and installs it like ReachFilter (2-3 is typical).
-	// Setting both ReachFilterK and ReachFilter is a configuration
-	// error.
+	// ReachFilterK builds a GRAIL filter with k interval traversals per
+	// generation and installs it in front of the backend: pairs the
+	// filter refutes skip the backend entirely. Negative-only soundness
+	// means answers are unchanged. 2-3 is typical. A matrix lookup is
+	// already O(1) and has no filter hook, so ReachFilterK with "matrix"
+	// is a configuration error; "auto" drops the filter if it picks the
+	// matrix.
 	ReachFilterK int
 
 	// DisableCandidateIndex turns off the attribute inverted index and
@@ -134,8 +103,7 @@ type Options struct {
 	// nothing published). The engine takes over Append ordering but not
 	// the log's lifetime; the caller still closes it. Pair with Recover
 	// at startup (which installs the WAL itself; set this field only
-	// when building an engine over a fresh log). Requires a mutable
-	// backend configuration (BackendKind or engine defaults).
+	// when building an engine over a fresh log).
 	WAL *wal.WAL
 }
 
@@ -153,7 +121,7 @@ type filterable interface {
 type genState struct {
 	gen uint64
 	g   *graph.Graph
-	be  dist.Backend // matrix, 2-hop labels, cache or custom
+	be  dist.Backend // matrix, 2-hop labels or cache
 
 	// cands is the generation's candidate memo (attribute inverted
 	// index + predicate→candidates cache), shared by every worker and
@@ -179,7 +147,7 @@ type Engine struct {
 	// (its graph is sealed when replaced, never edited in place).
 	cur atomic.Pointer[genState]
 
-	kind    string // "matrix" | "twohop" | "cache" | "custom"
+	kind    string // "matrix" | "twohop" | "cache"; "auto" until the first build
 	workers int
 
 	// slots hands out (arena, worker identity) pairs; its capacity is
@@ -195,8 +163,8 @@ type Engine struct {
 	// Construction inputs remembered for per-generation backend
 	// rebuilds; immutable after New.
 	cacheSize int
+	budget    int64 // "auto"'s memory budget, read by the first build only
 	filterK   int
-	immutable error // non-nil: why Apply is refused for this configuration
 
 	// wal, when non-nil, receives every committed batch before its
 	// generation is published (Options.WAL, or installed by Recover).
@@ -218,75 +186,45 @@ type Engine struct {
 // errors.Is.
 var ErrOptions = errors.New("engine: conflicting options")
 
-// validate rejects ambiguous Option combinations. Each check names the
-// fields in conflict; all errors wrap ErrOptions.
+// validate rejects an unknown backend kind and every setting the chosen
+// kind would silently ignore. All errors wrap ErrOptions.
 func (o Options) validate() error {
-	set := 0
-	names := ""
-	for _, f := range []struct {
-		on   bool
-		name string
-	}{
-		{o.Matrix != nil, "Matrix"},
-		{o.Cache != nil, "Cache"},
-		{o.Backend != nil, "Backend"},
-		{o.AutoBackend, "AutoBackend"},
-		{o.BackendKind != "", "BackendKind"},
-	} {
-		if f.on {
-			set++
-			if names != "" {
-				names += "+"
-			}
-			names += f.name
-		}
-	}
-	if set > 1 {
-		return fmt.Errorf("%w: %s — set at most one backend selector", ErrOptions, names)
-	}
 	switch o.BackendKind {
-	case "", "matrix", "twohop", "cache":
+	case "", "matrix", "twohop", "cache", "auto":
 	default:
-		return fmt.Errorf("%w: unknown BackendKind %q (want matrix, twohop or cache)", ErrOptions, o.BackendKind)
-	}
-	if o.CacheSize > 0 && (o.Matrix != nil || o.Cache != nil || o.Backend != nil) {
-		return fmt.Errorf("%w: CacheSize with an explicit backend would be silently ignored", ErrOptions)
+		return fmt.Errorf("%w: unknown BackendKind %q (want matrix, twohop, cache or auto)", ErrOptions, o.BackendKind)
 	}
 	if o.CacheSize > 0 && (o.BackendKind == "matrix" || o.BackendKind == "twohop") {
 		return fmt.Errorf("%w: CacheSize with BackendKind %q would be silently ignored", ErrOptions, o.BackendKind)
 	}
-	if o.MemoryBudget != 0 && !o.AutoBackend {
-		return fmt.Errorf("%w: MemoryBudget without AutoBackend would be silently ignored", ErrOptions)
+	if o.MemoryBudget != 0 && o.BackendKind != "auto" {
+		return fmt.Errorf("%w: MemoryBudget with BackendKind %q would be silently ignored (it bounds auto)", ErrOptions, o.BackendKind)
 	}
-	if o.ReachFilter != nil && o.ReachFilterK > 0 {
-		return fmt.Errorf("%w: ReachFilter and ReachFilterK — supply the filter or ask for one, not both", ErrOptions)
-	}
-	wantFilter := o.ReachFilter != nil || o.ReachFilterK > 0
-	if wantFilter && (o.Matrix != nil || o.BackendKind == "matrix") {
-		return fmt.Errorf("%w: ReachFilter with Matrix — matrix lookups have no filter hook", ErrOptions)
-	}
-	if wantFilter && o.Backend != nil {
-		if _, ok := o.Backend.(filterable); !ok {
-			return fmt.Errorf("%w: ReachFilter with a backend that has no SetFilter", ErrOptions)
-		}
+	if o.ReachFilterK > 0 && o.BackendKind == "matrix" {
+		return fmt.Errorf("%w: ReachFilterK with BackendKind matrix — matrix lookups have no filter hook", ErrOptions)
 	}
 	return nil
 }
 
-// New builds an engine over g, selecting the distance backend from
-// opts (see Options). The graph must not be mutated afterwards while
-// the engine is in use. Conflicting options return an error wrapping
-// ErrOptions; AutoBackend construction itself cannot fail (the cache
-// is the always-available last resort).
+// New builds an engine over g with the backend opts names (see
+// Options), after building g's CSR layers. The graph must not be
+// mutated afterwards while the engine is in use. Conflicting options
+// return an error wrapping ErrOptions; construction itself cannot fail
+// ("auto"'s last resort, the cache, is always available).
 func New(g *graph.Graph, opts Options) (*Engine, error) {
-	return newEngine(g, opts, true)
+	e, err := newEngine(g, opts)
+	if err != nil {
+		return nil, err
+	}
+	st := e.cur.Load()
+	st.be = e.buildBackend(st.g)
+	return e, nil
 }
 
-// newEngine is New with the build of a BackendKind backend optional:
-// Recover skips it, because it builds the backend for the generation it
-// ends at, not for the graph it starts from. Every other selector
-// builds as usual — AutoBackend needs the build to choose its kind.
-func newEngine(g *graph.Graph, opts Options, buildKind bool) (*Engine, error) {
+// newEngine validates opts and publishes generation 0 over g with its
+// candidate memo but without CSR layers or a backend: New builds them
+// for g, Recover for the generation its replay ends at.
+func newEngine(g *graph.Graph, opts Options) (*Engine, error) {
 	if err := opts.validate(); err != nil {
 		return nil, err
 	}
@@ -298,92 +236,25 @@ func newEngine(g *graph.Graph, opts Options, buildKind bool) (*Engine, error) {
 	if cacheSize <= 0 {
 		cacheSize = 1 << 16
 	}
-
-	if buildKind {
-		// Build the graph's CSR layers before the backend, which reads
-		// them, and before any reader can: no served read builds them.
-		g.BuildColorIndex()
+	budget := opts.MemoryBudget
+	if budget <= 0 {
+		budget = 1 << 30
 	}
-	be := opts.Backend
-	kind := "custom"
-	switch {
-	case opts.Matrix != nil:
-		be, kind = opts.Matrix, "matrix"
-	case opts.Cache != nil:
-		be, kind = opts.Cache, "cache"
-	case be != nil:
-		switch be.(type) {
-		case *dist.TwoHop:
-			kind = "twohop"
-		case *dist.Cache:
-			kind = "cache"
-		}
-	case opts.BackendKind != "":
-		// Engine-built by name: the same structures as the external
-		// equivalents, but owned by the engine — rebuilt per generation
-		// by Apply, so this path keeps the engine mutable.
-		kind = opts.BackendKind
-		if buildKind {
-			be = newBackend(kind, g, cacheSize)
-		}
-	case opts.AutoBackend:
-		budget := opts.MemoryBudget
-		if budget <= 0 {
-			budget = 1 << 30
-		}
-		if dist.PredictMatrixBytes(g) <= budget {
-			be, kind = dist.NewMatrix(g), "matrix"
-		} else if th, err := dist.NewTwoHopBudget(context.Background(), g, budget); err == nil {
-			be, kind = th, "twohop"
-		} else {
-			// Labels blew the budget too: the O(capacity) cache is the
-			// only backend whose footprint does not depend on the graph.
-			be, kind = dist.NewCache(g, cacheSize), "cache"
-		}
-	default:
-		be, kind = dist.NewCache(g, cacheSize), "cache"
+	kind := opts.BackendKind
+	if kind == "" {
+		kind = "cache"
 	}
-
-	// validate guaranteed explicit backends are filterable; the
-	// auto-selected matrix is the one combination that drops the filter
-	// (documented on Options.ReachFilter): it has no SetFilter.
-	if fb, ok := be.(filterable); ok && (opts.ReachFilter != nil || opts.ReachFilterK > 0) {
-		f := opts.ReachFilter
-		if f == nil {
-			f = reachidx.Build(g, opts.ReachFilterK)
-		}
-		fb.SetFilter(f)
-	}
-
 	e := &Engine{
 		kind:      kind,
 		workers:   workers,
 		slots:     make(chan *dist.Scratch, workers),
 		subs:      map[*Standing]struct{}{},
 		cacheSize: cacheSize,
+		budget:    budget,
 		filterK:   opts.ReachFilterK,
+		wal:       opts.WAL,
 	}
-	// Mutability: Apply rebuilds the backend per generation from the
-	// construction inputs, which it can only do for backends the engine
-	// knows how to build. Anything externally owned makes the engine
-	// read-only (queries work as before; Apply returns the reason).
-	switch {
-	case opts.Backend != nil:
-		e.immutable = fmt.Errorf("%w: externally built Backend cannot be rebuilt per generation", ErrReadOnly)
-	case opts.Cache != nil:
-		e.immutable = fmt.Errorf("%w: externally owned Cache cannot be rebuilt per generation", ErrReadOnly)
-	case opts.Matrix != nil:
-		e.immutable = fmt.Errorf("%w: externally owned Matrix cannot be rebuilt per generation", ErrReadOnly)
-	case opts.ReachFilter != nil:
-		e.immutable = fmt.Errorf("%w: external ReachFilter cannot be rebuilt per generation", ErrReadOnly)
-	}
-	if opts.WAL != nil {
-		if e.immutable != nil {
-			return nil, fmt.Errorf("%w: WAL on a read-only engine (%v)", ErrOptions, e.immutable)
-		}
-		e.wal = opts.WAL
-	}
-	st := &genState{g: g, be: be}
+	st := &genState{g: g}
 	if !opts.DisableCandidateIndex {
 		// Build the attribute inverted index once, up front, so no batch
 		// pays it mid-flight; the memo it feeds is shared by every reader
@@ -416,28 +287,14 @@ func (e *Engine) Graph() *graph.Graph { return e.cur.Load().g }
 // engine was built over, incremented by every committed Apply batch.
 func (e *Engine) Generation() uint64 { return e.cur.Load().gen }
 
-// Matrix returns the current generation's distance matrix, nil unless
-// the engine is in matrix mode.
-func (e *Engine) Matrix() *dist.Matrix {
-	mx, _ := e.Backend().(*dist.Matrix)
-	return mx
-}
-
-// Cache returns the current generation's distance cache, nil unless the
-// engine's backend is a cache.
-func (e *Engine) Cache() *dist.Cache {
-	ca, _ := e.Backend().(*dist.Cache)
-	return ca
-}
-
-// Backend returns the current generation's distance backend: whatever
-// New selected or was given (matrix, 2-hop labels, cache, custom).
+// Backend returns the current generation's distance backend (matrix,
+// 2-hop labels or cache).
 func (e *Engine) Backend() dist.Backend { return e.cur.Load().be }
 
-// BackendKind names the active backend — "matrix", "twohop", "cache"
-// or "custom" — mainly so AutoBackend's choice is observable (servers
-// log it; tests assert on it). The kind is fixed at construction:
-// Apply rebuilds the same kind of backend for every generation.
+// BackendKind names the active backend — "matrix", "twohop" or "cache"
+// — so that "auto"'s choice is observable (servers report it; tests
+// assert on it). The kind is fixed once the engine exists: Apply
+// rebuilds the same kind of backend for every generation.
 func (e *Engine) BackendKind() string { return e.kind }
 
 // Workers returns the engine's concurrency bound.

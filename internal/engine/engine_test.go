@@ -43,7 +43,6 @@ func pairsKey(ps []reach.Pair) string {
 func TestBatchMatchesSerial(t *testing.T) {
 	g := testGraph(7)
 	qs := testRQs(g, 60, 11)
-	mx := dist.NewMatrix(g)
 
 	want := make([]string, len(qs))
 	for i, q := range qs {
@@ -51,11 +50,11 @@ func TestBatchMatchesSerial(t *testing.T) {
 	}
 	for name, opts := range map[string]engine.Options{
 		"cache":         {Workers: 4},
-		"matrix":        {Workers: 4, Matrix: mx},
+		"matrix":        {Workers: 4, BackendKind: "matrix"},
 		"1-worker":      {Workers: 1},
 		"64-worker":     {Workers: 64},
 		"no-candidx":    {Workers: 4, DisableCandidateIndex: true},
-		"matrix-no-idx": {Workers: 4, Matrix: mx, DisableCandidateIndex: true},
+		"matrix-no-idx": {Workers: 4, BackendKind: "matrix", DisableCandidateIndex: true},
 	} {
 		e := engine.MustNew(g, opts)
 		got := e.RunRQs(qs)
@@ -114,8 +113,7 @@ func TestConcurrentBatchesSharedCache(t *testing.T) {
 		want[i] = pairsKey(q.EvalBFS(g))
 	}
 
-	ca := dist.NewCache(g, 1<<12)
-	e := engine.MustNew(g, engine.Options{Workers: 4, Cache: ca})
+	e := engine.MustNew(g, engine.Options{Workers: 4, CacheSize: 1 << 12})
 	var wg sync.WaitGroup
 	errs := make(chan string, 64)
 	for b := 0; b < 8; b++ {
@@ -138,7 +136,7 @@ func TestConcurrentBatchesSharedCache(t *testing.T) {
 	for msg := range errs {
 		t.Error(msg)
 	}
-	if hits, misses := ca.Stats(); hits == 0 && misses == 0 {
+	if hits, misses := e.Backend().(*dist.Cache).Stats(); hits == 0 && misses == 0 {
 		t.Log("note: no single-atom queries hit the cache in this workload")
 	}
 }

@@ -40,9 +40,9 @@ type RecoverInfo struct {
 // the generation recovery ends at.
 //
 // opts must not set WAL (Recover installs w itself, after replay, so
-// replayed batches are not re-appended) and must leave the engine
-// mutable. A torn log tail — the expected crash artifact — was already
-// truncated by wal.Open; Recover only ever sees intact records.
+// replayed batches are not re-appended). A torn log tail — the
+// expected crash artifact — was already truncated by wal.Open; Recover
+// only ever sees intact records.
 func Recover(w *wal.WAL, seed *graph.Graph, opts Options) (*Engine, RecoverInfo, error) {
 	if opts.WAL != nil {
 		return nil, RecoverInfo{}, fmt.Errorf("%w: Recover installs the WAL itself; leave Options.WAL nil", ErrOptions)
@@ -60,12 +60,9 @@ func Recover(w *wal.WAL, seed *graph.Graph, opts Options) (*Engine, RecoverInfo,
 		g = graph.New()
 	}
 
-	e, err := newEngine(g, opts, false)
+	e, err := newEngine(g, opts)
 	if err != nil {
 		return nil, info, err
-	}
-	if e.immutable != nil {
-		return nil, info, fmt.Errorf("%w: Recover needs a mutable engine (%v)", ErrOptions, e.immutable)
 	}
 	// The snapshot captures the graph at SnapshotGen, not generation 0.
 	// Nothing else has the engine yet, so setting the published state's
@@ -86,15 +83,11 @@ func Recover(w *wal.WAL, seed *graph.Graph, opts Options) (*Engine, RecoverInfo,
 	}); err != nil {
 		return nil, info, err
 	}
-	// Replay left every generation it published without CSR layers or a
-	// backend (and newEngine left a BackendKind seed without either):
-	// build the ones the final generation serves with. Still no reader,
-	// so again race-free.
+	// Neither newEngine nor replay built CSR layers or a backend: build
+	// the ones the final generation serves with (and resolve "auto" on
+	// it). Still no reader, so again race-free.
 	st := e.cur.Load()
-	st.g.BuildColorIndex()
-	if st.be == nil {
-		st.be = e.rebuildBackend(st.g)
-	}
+	st.be = e.buildBackend(st.g)
 
 	e.wal = w
 	info.LastGen = e.Generation()

@@ -223,12 +223,20 @@ func TestRecoverCompactedLog(t *testing.T) {
 // TestRecoverBuildsFinalBackend: replay skips the per-batch backend
 // rebuilds, so the one backend a recovered engine serves with must be
 // built for the graph it recovered to — from a virgin log (the seed)
-// and after replayed batches — for every engine-built kind.
+// and after replayed batches — for every kind. "auto" resolves on that
+// graph too: its budget fits the seed's matrix exactly, and the
+// replayed batches add nodes, so the recovered graph's matrix does not
+// fit.
 func TestRecoverBuildsFinalBackend(t *testing.T) {
-	for _, kind := range []string{"matrix", "twohop", "cache"} {
+	for _, kind := range []string{"matrix", "twohop", "cache", "auto"} {
 		t.Run(kind, func(t *testing.T) {
 			dir := t.TempDir()
 			opts := engine.Options{Workers: 1, BackendKind: kind}
+			seedKind := kind
+			if kind == "auto" {
+				opts.MemoryBudget = dist.PredictMatrixBytes(crashSeedGraph())
+				seedKind = "matrix"
+			}
 			w, err := wal.Open(wal.Options{Dir: dir, Fsync: wal.FsyncNone})
 			if err != nil {
 				t.Fatal(err)
@@ -237,7 +245,7 @@ func TestRecoverBuildsFinalBackend(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			checkBackendMatchesGraph(t, e, kind)
+			checkBackendMatchesGraph(t, e, seedKind)
 			for g := uint64(1); g <= 12; g++ {
 				if _, err := e.Apply(crashOpsForGen(g)); err != nil {
 					t.Fatal(err)
@@ -259,7 +267,13 @@ func TestRecoverBuildsFinalBackend(t *testing.T) {
 			if info.Batches != 12 || e2.Generation() != 12 {
 				t.Fatalf("recovered %+v at gen %d, want 12 batches to gen 12", info, e2.Generation())
 			}
-			checkBackendMatchesGraph(t, e2, kind)
+			finalKind := kind
+			if kind == "auto" {
+				if finalKind = e2.BackendKind(); finalKind == "matrix" {
+					t.Fatal("auto picked the matrix on the seed, not on the recovered graph")
+				}
+			}
+			checkBackendMatchesGraph(t, e2, finalKind)
 		})
 	}
 }

@@ -11,7 +11,6 @@ import (
 	"testing"
 	"time"
 
-	"regraph/internal/dist"
 	"regraph/internal/engine"
 	"regraph/internal/gen"
 	"regraph/internal/graph"
@@ -40,10 +39,9 @@ func mixedRequests(g *graph.Graph, n int, seed int64) []engine.Request {
 func TestSessionMatchesRunBatch(t *testing.T) {
 	g := testGraph(7)
 	reqs := mixedRequests(g, 48, 11)
-	mx := dist.NewMatrix(g)
 	for name, opts := range map[string]engine.Options{
 		"cache":  {Workers: 4},
-		"matrix": {Workers: 4, Matrix: mx},
+		"matrix": {Workers: 4, BackendKind: "matrix"},
 	} {
 		e := engine.MustNew(g, opts)
 		want := e.RunBatch(reqs)

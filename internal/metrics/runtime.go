@@ -1,3 +1,7 @@
+// Package metrics holds the serving-side instrumentation primitives:
+// lock-free counters, gauges and a latency histogram, sized for
+// per-query updates on the engine's hot path. internal/engine sessions
+// use them for their Stats() snapshots.
 package metrics
 
 import (
@@ -5,12 +9,6 @@ import (
 	"sync/atomic"
 	"time"
 )
-
-// This file holds the serving-side instrumentation primitives (beyond
-// the paper's effectiveness measures in metrics.go): lock-free counters,
-// gauges and a latency histogram, sized for per-query updates on the
-// engine's hot path. internal/engine sessions use them for their
-// Stats() snapshots.
 
 // Counter is a monotonically increasing atomic counter. The zero value
 // is ready to use.

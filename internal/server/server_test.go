@@ -14,7 +14,6 @@ import (
 	"testing"
 	"time"
 
-	"regraph/internal/dist"
 	"regraph/internal/engine"
 	"regraph/internal/gen"
 	"regraph/internal/graph"
@@ -144,11 +143,10 @@ func decodeStream(t *testing.T, r io.Reader) []wire.Response {
 // cache and matrix engine modes.
 func TestServerMatchesRunBatch(t *testing.T) {
 	g := testGraph(7)
-	mx := dist.NewMatrix(g)
 	reqs := wireBatch(t, g, 48, 11)
 	for name, opts := range map[string]engine.Options{
 		"cache":  {Workers: 4},
-		"matrix": {Workers: 4, Matrix: mx},
+		"matrix": {Workers: 4, BackendKind: "matrix"},
 	} {
 		t.Run(name, func(t *testing.T) {
 			e := engine.MustNew(g, opts)
@@ -247,6 +245,30 @@ func TestServerPerLineErrors(t *testing.T) {
 	}
 	if st.Submitted != 1 || st.Completed != 1 {
 		t.Errorf("stats: %+v", st)
+	}
+}
+
+// TestServerStatsBackend: /v1/stats names the distance backend that
+// serves, whichever kind the engine was built with.
+func TestServerStatsBackend(t *testing.T) {
+	g := testGraph(3)
+	for _, kind := range []string{"matrix", "twohop", "cache"} {
+		srv := server.New(engine.MustNew(g, engine.Options{Workers: 1, BackendKind: kind}), server.Options{})
+		ts := httptest.NewServer(srv.Handler())
+		resp, err := http.Get(ts.URL + "/v1/stats")
+		if err != nil {
+			t.Fatal(err)
+		}
+		var st struct {
+			Backend string `json:"backend"`
+		}
+		err = json.NewDecoder(resp.Body).Decode(&st)
+		resp.Body.Close()
+		ts.Close()
+		srv.Close()
+		if err != nil || st.Backend != kind {
+			t.Errorf("%s engine: /v1/stats backend %q (%v)", kind, st.Backend, err)
+		}
 	}
 }
 

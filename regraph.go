@@ -89,8 +89,9 @@ type (
 	Cache = dist.Cache
 	// DistBackend is the pluggable distance oracle behind single-atom
 	// evaluation: Matrix, Cache and TwoHop all implement it, and
-	// EngineOptions.Backend accepts any of them (or a caller-supplied
-	// implementation honoring the same exactness contract).
+	// EvalOptions.Backend and RQ.EvalBackend accept any of them (or a
+	// caller-supplied implementation honoring the same exactness
+	// contract).
 	DistBackend = dist.Backend
 	// TwoHop is the 2-hop-labeling distance index: per-color sorted hub
 	// labels answering Dist by sorted merge — between Matrix and Cache
@@ -129,12 +130,14 @@ type (
 
 // Engine types.
 type (
-	// Engine is the resident concurrent query engine: one graph, one
-	// shared Matrix or Cache, a bounded worker pool with per-worker
-	// scratch arenas. Safe for concurrent use; see NewEngine.
+	// Engine is the resident concurrent query engine: one graph, the
+	// distance backend it builds for it (Matrix, TwoHop or Cache), a
+	// bounded worker pool with per-worker scratch arenas. Safe for
+	// concurrent use; see NewEngine.
 	Engine = engine.Engine
-	// EngineOptions configures NewEngine: worker count and the shared
-	// distance structure (Matrix, Cache, or an auto-created cache).
+	// EngineOptions configures NewEngine: worker count and the distance
+	// backend the engine builds, named by BackendKind ("matrix",
+	// "twohop", "cache" or "auto"; "" means "cache").
 	EngineOptions = engine.Options
 	// BatchRequest is one query of an Engine batch or Session: exactly
 	// one of its RQ/PQ fields must be set. Setting its Emit callback on
@@ -183,14 +186,6 @@ type (
 	// left it.
 	StandingUpdate = engine.StandingUpdate
 )
-
-// ErrEngineReadOnly is returned by Engine.Apply when the engine was
-// built around externally owned distance structures (an explicit
-// Matrix/Cache/Backend or ReachFilter): the engine cannot rebuild what
-// it does not own, so such configurations serve queries only. Select
-// backends by name (EngineOptions.BackendKind, AutoBackend, or the
-// default cache) to keep an engine writable.
-var ErrEngineReadOnly = engine.ErrReadOnly
 
 // ErrSessionClosed is returned by Session.Submit after Close (or after
 // the session's context was cancelled and the session drained).
@@ -255,7 +250,8 @@ func NewCache(g *Graph, capacity int) *Cache { return dist.NewCache(g, capacity)
 // the wildcard layer) with degree-ranked pruned landmark BFS,
 // parallelized across layers. Distances agree bit-for-bit with
 // NewMatrix's at a fraction of its (m+1)·|V|² memory on sparse graphs;
-// pass it as EngineOptions.Backend or to RQ.EvalBackend.
+// pass it as EvalOptions.Backend or to RQ.EvalBackend. An Engine builds
+// its own with EngineOptions{BackendKind: "twohop"}.
 func NewTwoHop(g *Graph) *TwoHop { return dist.NewTwoHop(g) }
 
 // NewTwoHopBudget is NewTwoHop under a context and a label-storage
@@ -267,29 +263,28 @@ func NewTwoHopBudget(ctx context.Context, g *Graph, maxBytes int64) (*TwoHop, er
 }
 
 // ErrTwoHopBudget reports that 2-hop label construction exceeded its
-// byte budget; fall back to a Cache (see EngineOptions.AutoBackend,
-// which does exactly that).
+// byte budget; fall back to a Cache (an Engine with BackendKind "auto"
+// does exactly that).
 var ErrTwoHopBudget = dist.ErrTwoHopBudget
 
 // PredictMatrixBytes returns the exact cell bytes NewMatrix would
 // allocate for g — (m+1)·|V|² — without allocating them; the quantity
-// EngineOptions.AutoBackend compares against its MemoryBudget.
+// BackendKind "auto" compares against EngineOptions.MemoryBudget.
 func PredictMatrixBytes(g *Graph) int64 { return dist.PredictMatrixBytes(g) }
 
 // NewEngine builds a resident query engine over g: RQs and PQs are
 // evaluated concurrently across a bounded worker pool, every worker
-// reusing a persistent Scratch arena against the engine's shared
-// distance backend (an explicit Matrix, Cache or DistBackend, the
-// AutoBackend memory-budget heuristic, or the default auto-created
-// cache). Engine.Open starts a streaming Session (Submit/Results with
-// back-pressure and context cancellation); Engine.RunBatch evaluates
-// one whole batch at a time. Once the engine exists, mutate the graph
+// reusing a persistent Scratch arena against the distance backend the
+// engine builds, and rebuilds per generation, by
+// EngineOptions.BackendKind: "matrix", "twohop", "cache" (the default)
+// or "auto", the memory-budget heuristic. Engine.Open starts a
+// streaming Session (Submit/Results with back-pressure and context
+// cancellation); Engine.RunBatch evaluates one whole batch at a time. Once the engine exists, mutate the graph
 // only through Engine.Apply — each batch commits as a copy-on-write
 // generation, readers keep their pinned snapshot, and the construction
-// graph itself must no longer be touched. Conflicting options (two
-// backends at once, a
-// CacheSize that would be ignored, a filter the backend cannot hold)
-// return an error wrapping ErrEngineOptions.
+// graph itself must no longer be touched. Conflicting options (an
+// unknown kind, a CacheSize, MemoryBudget or ReachFilterK the kind
+// would ignore) return an error wrapping ErrEngineOptions.
 func NewEngine(g *Graph, opts EngineOptions) (*Engine, error) { return engine.New(g, opts) }
 
 // MustEngine is NewEngine for statically known-valid configurations;
