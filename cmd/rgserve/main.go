@@ -85,7 +85,9 @@ func main() {
 	flag.Parse()
 
 	// With a WAL whose snapshot will win anyway, the seed is optional: a
-	// bare `rgserve -wal-dir DIR` restarts from the log alone. A -graph
+	// bare `rgserve -wal-dir DIR` restarts from the log alone. A log with
+	// batches but no snapshot yet (a first run that never restarted) is
+	// refused by engine.Recover, which then needs the seed. A -graph
 	// that was asked for but fails to load is still fatal either way.
 	var g *regraph.Graph
 	if *graphPath == "" && !*demo && *walDir != "" {

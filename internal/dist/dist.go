@@ -1,7 +1,9 @@
 // Package dist is the distance substrate shared by every query class of
 // the paper (Section 4): the per-color all-pairs distance matrix, the LRU
-// distance cache backed by bi-directional search, and the bounded
-// multi-source BFS closures used by the runtime evaluation methods.
+// distance cache backed by bi-directional search, the bounded
+// multi-source BFS closures used by the runtime evaluation methods, and
+// Pairs, the one enumerator of a chain's answer pairs, which splits the
+// chain where the graph's layer statistics predict the least search.
 //
 // All distances follow the paper's path semantics: paths are non-empty,
 // so the distance from a node to itself is the length of its shortest
@@ -190,32 +192,4 @@ func BiDist(g *graph.Graph, c graph.ColorID, v1, v2 graph.NodeID) int32 {
 	s := GetScratch()
 	defer PutScratch(s)
 	return BiDistScratch(g, c, v1, v2, s)
-}
-
-// BiReach reports whether some path from v1 to v2 matches the whole atom
-// chain, by runtime search only: the chain is split in the middle, the
-// prefix is pushed forward from v1, the suffix backward from v2, and the
-// two node sets are intersected. A single atom is one bounded BiSat.
-func BiReach(g *graph.Graph, atoms []CAtom, v1, v2 graph.NodeID) bool {
-	if len(atoms) == 0 {
-		return v1 == v2
-	}
-	s := GetScratch()
-	defer PutScratch(s)
-	if len(atoms) == 1 {
-		return BiSat(g, atoms[0], v1, v2, s)
-	}
-	mid := len(atoms) / 2
-	// The forward prefix closure's members must survive the backward
-	// suffix closure (both run through the same ping-pong bitsets).
-	_, fwd := ForwardClosureOf(g, []graph.NodeID{v1}, atoms[:mid], s)
-	keep := append(s.NodeList(), fwd...)
-	defer s.RecycleNodeList(keep)
-	bwd, _ := BackwardClosureOf(g, []graph.NodeID{v2}, atoms[mid:], s)
-	for _, v := range keep {
-		if bwd[v] {
-			return true
-		}
-	}
-	return false
 }

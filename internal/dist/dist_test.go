@@ -3,6 +3,7 @@ package dist
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -223,10 +224,12 @@ func chainReachBrute(g *graph.Graph, atoms []CAtom, v1, v2 graph.NodeID) bool {
 	return false
 }
 
-// TestClosuresAndBiReachAgainstBrute: ForwardClosure, BackwardClosure
-// and BiReach must all agree with the brute-force semantics
-// on random graphs and random atom chains.
-func TestClosuresAndBiReachAgainstBrute(t *testing.T) {
+// TestClosuresAndPairsAgainstBrute: ForwardClosure, BackwardClosure
+// and the pair enumerator, at every split and at the planned one, must
+// all agree with the brute-force semantics on random graphs and random
+// atom chains.
+func TestClosuresAndPairsAgainstBrute(t *testing.T) {
+	s := NewScratch()
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		g := randGraph(r, 2+r.Intn(9), r.Intn(25), []string{"a", "b"})
@@ -244,12 +247,18 @@ func TestClosuresAndBiReachAgainstBrute(t *testing.T) {
 			}
 			atoms[i] = CAtom{Color: c, Max: m}
 		}
+		all := make([]graph.NodeID, n)
+		var wantPairs [][2]graph.NodeID
 		for v1 := 0; v1 < n; v1++ {
+			all[v1] = graph.NodeID(v1)
 			src := make([]bool, n)
 			src[v1] = true
 			fc := ForwardClosure(g, src, atoms)
 			for v2 := 0; v2 < n; v2++ {
 				want := chainReachBrute(g, atoms, graph.NodeID(v1), graph.NodeID(v2))
+				if want {
+					wantPairs = append(wantPairs, [2]graph.NodeID{graph.NodeID(v1), graph.NodeID(v2)})
+				}
 				if fc[v2] != want {
 					t.Logf("seed %d: ForwardClosure(%d)[%d] = %v, want %v (atoms %+v)", seed, v1, v2, fc[v2], want, atoms)
 					return false
@@ -260,10 +269,22 @@ func TestClosuresAndBiReachAgainstBrute(t *testing.T) {
 					t.Logf("seed %d: BackwardClosure(%d)[%d] = %v, want %v", seed, v2, v1, got, want)
 					return false
 				}
-				if got := BiReach(g, atoms, graph.NodeID(v1), graph.NodeID(v2)); got != want {
-					t.Logf("seed %d: BiReach(%d,%d) = %v, want %v (atoms %+v)", seed, v1, v2, got, want, atoms)
-					return false
-				}
+			}
+		}
+		for k := -1; k <= nAtoms; k++ {
+			var got [][2]graph.NodeID
+			add := func(x, y graph.NodeID) bool {
+				got = append(got, [2]graph.NodeID{x, y})
+				return true
+			}
+			if k < 0 {
+				Pairs(g, atoms, all, all, s, add)
+			} else {
+				pairsAt(g, atoms, all, all, k, s, add)
+			}
+			if !slices.Equal(got, wantPairs) {
+				t.Logf("seed %d: pairs split at %d (-1 = planned) = %v, want %v (atoms %+v)", seed, k, got, wantPairs, atoms)
+				return false
 			}
 		}
 		return true
@@ -323,8 +344,13 @@ func TestHugeBoundBehavesAsUnbounded(t *testing.T) {
 	if fc := ForwardClosure(g, src, atoms); !fc[b] {
 		t.Error("huge-bound atom must still reach the direct successor")
 	}
-	if !BiReach(g, atoms, a, b) {
-		t.Error("BiReach must agree")
+	found := false
+	Pairs(g, atoms, []graph.NodeID{a}, []graph.NodeID{b}, NewScratch(), func(x, y graph.NodeID) bool {
+		found = true
+		return true
+	})
+	if !found {
+		t.Error("Pairs must agree")
 	}
 }
 

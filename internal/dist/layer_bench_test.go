@@ -62,3 +62,43 @@ func BenchmarkBiDist(b *testing.B) {
 		dist.BiDistScratch(g, c, v1, v2, s)
 	}
 }
+
+// BenchmarkPairs enumerates the answers of the same three-atom chain
+// between 16 sources and 16 destinations: "planned" splits where the
+// layer statistics say, "midpoint" at len/2, as every multi-atom RQ did
+// before the split was planned.
+func BenchmarkPairs(b *testing.B) {
+	g := youTube(b)
+	atoms, ok := dist.Compile(g, rex.MustParse("fc{2} sr fr{3}"))
+	if !ok {
+		b.Fatal("the YouTube graph lacks a color of the chain")
+	}
+	src := make([]graph.NodeID, 16)
+	dst := make([]graph.NodeID, 16)
+	for i := range src {
+		src[i] = graph.NodeID(i * g.NumNodes() / len(src))
+		dst[i] = graph.NodeID((2*i + 1) * g.NumNodes() / (2 * len(dst)))
+	}
+	s := dist.NewScratch()
+	found := 0
+	count := func(x, y graph.NodeID) bool {
+		found++
+		return true
+	}
+	for _, bc := range []struct {
+		name string
+		run  func()
+	}{
+		{"planned", func() { dist.Pairs(g, atoms, src, dst, s, count) }},
+		{"midpoint", func() { dist.PairsAt(g, atoms, src, dst, len(atoms)/2, s, count) }},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			bc.run() // grow the arena's buffers
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				bc.run()
+			}
+		})
+	}
+}

@@ -90,8 +90,8 @@ func TestCacheSatProperty(t *testing.T) {
 				t.Logf("seed %d ask %d: TwoHop.Sat(%+v, %d, %d) = %v, distance %d", seed, k, a, u, v, got, want)
 				return false
 			}
-			if got := BiSat(g, a, u, v, s); got != sat {
-				t.Logf("seed %d ask %d: BiSat(%+v, %d, %d) = %v, distance %d", seed, k, a, u, v, got, want)
+			if got := biSat(g, a, u, v, s); got != sat {
+				t.Logf("seed %d ask %d: biSat(%+v, %d, %d) = %v, distance %d", seed, k, a, u, v, got, want)
 				return false
 			}
 		}
@@ -205,6 +205,13 @@ func checkResting(t *testing.T, s *Scratch, when string) {
 	}
 }
 
+// biSat decides an atom on (v1, v2) by the atom-bounded search alone,
+// which stops as soon as no path within the bound is left to find.
+func biSat(g *graph.Graph, a CAtom, v1, v2 graph.NodeID, s *Scratch) bool {
+	d, exact := biDist(g, a.Color, v1, v2, a.searchBound(g.NumNodes()), s)
+	return exact && a.Sat(d)
+}
+
 // sameAsFresh compares searches on s with the same searches on a fresh
 // arena.
 func sameAsFresh(t *testing.T, g *graph.Graph, s *Scratch, when string) {
@@ -221,8 +228,8 @@ func sameAsFresh(t *testing.T, g *graph.Graph, s *Scratch, when string) {
 			t.Fatalf("%s: |V|=%d BiDist(%d, %d) = %d, fresh arena %d", when, n, u, v, got, want)
 		}
 		a := CAtom{Color: atoms[0].Color, Max: 1 + k%4}
-		if got, want := BiSat(g, a, u, v, s), BiSat(g, a, u, v, NewScratch()); got != want {
-			t.Fatalf("%s: |V|=%d BiSat(%+v, %d, %d) = %v, fresh arena %v", when, n, a, u, v, got, want)
+		if got, want := biSat(g, a, u, v, s), biSat(g, a, u, v, NewScratch()); got != want {
+			t.Fatalf("%s: |V|=%d biSat(%+v, %d, %d) = %v, fresh arena %v", when, n, a, u, v, got, want)
 		}
 		src := []graph.NodeID{u, v}
 		for _, forward := range []bool{true, false} {

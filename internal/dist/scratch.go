@@ -38,6 +38,11 @@ type Scratch struct {
 	curIDs  []graph.NodeID
 	nextIDs []graph.NodeID
 	srcIDs  []graph.NodeID   // members of a []bool source set
+	meetIDs []graph.NodeID   // Pairs: the destinations' sets back to back,
+	meetEnd []int32          // each ending at meetEnd[j], and a cursor
+	meetCur []int32          // into each (split 0)
+	plan    []float64        // planSplit: per-split cost sums
+	est     []atomEst        // and per-atom layer estimates
 	free    [][]bool         // recycled retainable bitsets (Bitset/Recycle)
 	lists   [][]graph.NodeID // recycled node lists (NodeList/RecycleNodeList)
 
@@ -322,16 +327,7 @@ func expandLevel(adj graph.Layer, q []graph.NodeID, head int, d, other []int32, 
 	return q, best
 }
 
-// BiSat reports whether (v1, v2) satisfies the atom by runtime search
-// alone: BiDist bounded by the atom, which stops as soon as no path
-// within the bound is left to find. It is the backend-free form of
-// Backend.Sat.
-func BiSat(g *graph.Graph, a CAtom, v1, v2 graph.NodeID, s *Scratch) bool {
-	d, exact := biDist(g, a.Color, v1, v2, a.searchBound(g.NumNodes()), s)
-	return exact && a.Sat(d)
-}
-
-// biDist is the bi-directional search behind BiDist, Cache and BiSat.
+// biDist is the bi-directional search behind BiDist and Cache.
 // With bound < 0 it returns the exact shortest non-empty distance (or
 // graph.Unreachable) and exact = true. With bound >= 0 it may instead
 // stop once every path still unproposed is longer than bound, and then

@@ -22,9 +22,10 @@ type RecoverInfo struct {
 
 // Recover builds an engine from a write-ahead log: it loads the log's
 // latest snapshot if one exists (otherwise seed — the graph the very
-// first run started from), replays every logged batch after it through
-// the ordinary Apply path, and only then installs w so subsequent
-// commits append to the same log.
+// first run started from; a nil seed is refused unless the log is
+// empty, where it starts an empty graph), replays every logged batch
+// after it through the ordinary Apply path, and only then installs w so
+// subsequent commits append to the same log.
 //
 // Replaying through Apply is the whole correctness argument: a logged
 // batch re-runs the exact code that committed it originally — the same
@@ -57,6 +58,15 @@ func Recover(w *wal.WAL, seed *graph.Graph, opts Options) (*Engine, RecoverInfo,
 		g, info.SnapshotGen = sg, sgen
 	}
 	if g == nil {
+		// Without a snapshot the log holds only the batches after
+		// generation 0, and they mean nothing without the graph they were
+		// applied to: replayed onto an empty graph, the ops naming seed
+		// nodes fail one by one while every batch still commits at its
+		// logged generation, and recovery would report success with the
+		// wrong graph.
+		if last := w.LastGen(); last > 0 {
+			return nil, info, fmt.Errorf("engine: recover: the log holds batches up to generation %d and no snapshot; pass the graph the first run started from as the seed", last)
+		}
 		g = graph.New()
 	}
 

@@ -168,6 +168,55 @@ func TestReplayEquivalence(t *testing.T) {
 	}
 }
 
+// TestRecoverRefusesSeedlessLogWithoutSnapshot: batches logged on top of
+// a seed cannot be replayed without it. Replayed onto an empty graph,
+// every batch would still commit at its logged generation (its add_node
+// applies) while the ops naming seed nodes fail, so recovery would
+// report success with a graph of 3 nodes. It must fail instead, and a
+// nil seed on an empty log must still start an empty graph.
+func TestRecoverRefusesSeedlessLogWithoutSnapshot(t *testing.T) {
+	dir := t.TempDir()
+	w, err := wal.Open(wal.Options{Dir: dir, Fsync: wal.FsyncNone})
+	if err != nil {
+		t.Fatal(err)
+	}
+	e, _, err := engine.Recover(w, crashSeedGraph(), engine.Options{Workers: 1, BackendKind: "cache"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for g := uint64(1); g <= 3; g++ {
+		if _, err := e.Apply(crashOpsForGen(g)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	w2, err := wal.Open(wal.Options{Dir: dir, Fsync: wal.FsyncNone})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w2.Close()
+	if e2, info, err := engine.Recover(w2, nil, engine.Options{Workers: 1, BackendKind: "cache"}); err == nil {
+		t.Fatalf("seedless recovery succeeded at gen %d with %d nodes (info %+v)", e2.Generation(), e2.Graph().NumNodes(), info)
+	} else if !strings.Contains(err.Error(), "seed") {
+		t.Errorf("error %q does not say to pass the seed", err)
+	}
+
+	w3, err := wal.Open(wal.Options{Dir: t.TempDir(), Fsync: wal.FsyncNone})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w3.Close()
+	e3, _, err := engine.Recover(w3, nil, engine.Options{Workers: 1, BackendKind: "cache"})
+	if err != nil {
+		t.Fatalf("seedless recovery of an empty log: %v", err)
+	}
+	if e3.Generation() != 0 || e3.Graph().NumNodes() != 0 {
+		t.Errorf("empty log recovered at gen %d with %d nodes, want an empty graph at gen 0", e3.Generation(), e3.Graph().NumNodes())
+	}
+}
+
 // TestRecoverCompactedLog pins snapshot+tail recovery: compact
 // mid-history, keep committing, recover — the snapshot supplies the
 // prefix, replay only the tail, and the result is still bit-identical.
@@ -547,6 +596,13 @@ func runCrashRound(t *testing.T, policy string, extraAcks int) {
 		t.Fatalf("post-crash wal open: %v", err)
 	}
 	defer w.Close()
+	// The child never compacts, so its log has no snapshot: a seedless
+	// restart cannot rebuild the graph and must be refused.
+	if w.LastGen() > 0 {
+		if _, _, err := engine.Recover(w, nil, engine.Options{Workers: 1, BackendKind: "cache"}); err == nil {
+			t.Fatalf("%s: seedless recovery of a log with no snapshot succeeded", policy)
+		}
+	}
 	e, info, err := engine.Recover(w, crashSeedGraph(), engine.Options{Workers: 1, BackendKind: "cache"})
 	if err != nil {
 		t.Fatalf("post-crash recover: %v", err)

@@ -17,6 +17,7 @@ import (
 	"math"
 	"sort"
 	"strings"
+	"sync"
 	"sync/atomic"
 )
 
@@ -259,8 +260,16 @@ type Layer struct {
 func (l Layer) Row(v NodeID) []int32 { return l.to[l.off[v]:l.off[v+1]] }
 
 // layers is the CSR of one adjacency state: per color, then the
-// wildcard, the forward and the reverse layer.
-type layers struct{ fwd, rev []Layer }
+// wildcard, the forward and the reverse layer. The layers' statistics
+// (see Stats) sit beside them in the same order, each built once: the
+// color layers' by BuildColorIndex or the first Stats call, the
+// wildcard's by the first Stats call that asks for it.
+type layers struct {
+	fwd, rev []Layer
+
+	colorOnce, anyOnce sync.Once
+	fwdStats, revStats []LayerStats
+}
 
 // Layer returns the adjacency over edges of color c (every edge for
 // AnyColor): successors when forward, predecessors otherwise. It
@@ -281,11 +290,12 @@ func (g *Graph) Layer(c ColorID, forward bool) Layer {
 	return ls.rev[i]
 }
 
-// BuildColorIndex eagerly builds the graph's CSR layers, so that every
-// later Layer call is a plain read. internal/engine calls it on every
-// generation before publishing it. Idempotent; any later mutation of
-// adjacency drops the layers again.
-func (g *Graph) BuildColorIndex() { g.layers() }
+// BuildColorIndex eagerly builds the graph's CSR layers and the color
+// layers' statistics, so that every later Layer call is a plain read and
+// Stats of a color layer builds nothing. internal/engine calls it on
+// every generation before publishing it. Idempotent; any later mutation
+// of adjacency drops the layers and their statistics again.
+func (g *Graph) BuildColorIndex() { g.layers().colorStats() }
 
 func (g *Graph) layers() *layers {
 	if ls := g.csr.Load(); ls != nil {
@@ -294,7 +304,11 @@ func (g *Graph) layers() *layers {
 	if g.numEdges > math.MaxInt32 || len(g.nodes) > math.MaxInt32 {
 		panic(fmt.Sprintf("graph: %d nodes and %d edges exceed the CSR's int32 range", len(g.nodes), g.numEdges))
 	}
-	ls := &layers{fwd: buildLayers(g.out, len(g.colors)), rev: buildLayers(g.in, len(g.colors))}
+	m := len(g.colors)
+	ls := &layers{
+		fwd: buildLayers(g.out, m), rev: buildLayers(g.in, m),
+		fwdStats: make([]LayerStats, m+1), revStats: make([]LayerStats, m+1),
+	}
 	g.csr.Store(ls)
 	return ls
 }

@@ -361,8 +361,9 @@ func refine(q *Query, ck *searchChecker, mats []nodeSet, noOrder bool, s *dist.S
 }
 
 // collect builds the final Se sets (Fig. 7 lines 15-17) from the match
-// sets, iterating their members in ascending order; single-atom edges
-// ask be (nil: a bounded bi-directional search per pair). On
+// sets, iterating their members in ascending order: a single-atom edge
+// asks be pair by pair, and a multi-atom edge (or any edge when be is
+// nil) is enumerated by dist.Pairs with its planned split. On
 // cancellation (observed through s's binding) the partial result is
 // meaningless; callers must check s.Canceled() before using it.
 func collect(g *graph.Graph, q *Query, chains [][]dist.CAtom, mats []nodeSet, be dist.Backend, s *dist.Scratch) *Result {
@@ -373,38 +374,25 @@ func collect(g *graph.Graph, q *Query, chains [][]dist.CAtom, mats []nodeSet, be
 		to := mats[e.To].members()
 		atoms := chains[ei]
 		var pairs []reach.Pair
-		if len(atoms) == 1 {
+		if len(atoms) == 1 && be != nil {
 			a := atoms[0]
 			for i, x := range from {
 				if i&255 == 255 && s.Canceled() {
 					return &Result{}
 				}
 				for _, y := range to {
-					var sat bool
-					if be != nil {
-						sat = be.Sat(a, x, y, s)
-					} else {
-						sat = dist.BiSat(g, a, x, y, s)
-					}
-					if sat {
+					if be.Sat(a, x, y, s) {
 						pairs = append(pairs, reach.Pair{From: x, To: y})
 					}
 				}
 			}
 		} else {
-			// Multi-atom edge: one backward closure from the target set
-			// per source candidate would be wasteful; instead compute the
-			// forward closure per source and intersect with targets.
-			for _, x := range from {
-				fc, _ := dist.ForwardClosureOf(g, []graph.NodeID{x}, atoms, s)
-				if s.Canceled() {
-					return &Result{}
-				}
-				for _, y := range to {
-					if fc[y] {
-						pairs = append(pairs, reach.Pair{From: x, To: y})
-					}
-				}
+			dist.Pairs(g, atoms, from, to, s, func(x, y graph.NodeID) bool {
+				pairs = append(pairs, reach.Pair{From: x, To: y})
+				return true
+			})
+			if s.Canceled() {
+				return &Result{}
 			}
 		}
 		if len(pairs) == 0 {

@@ -13,10 +13,11 @@
 //     distance Cache, or TwoHop labels). A single-atom expression is a
 //     pairwise Backend.Sat ask over the candidate sets — one cell load
 //     on the matrix, a bounded bi-directional search on a cache miss. A
-//     longer expression is split in the middle: the prefix is pushed
-//     forward from every source candidate, the suffix backward from
-//     every destination candidate, and a pair is an answer when the two
-//     node sets meet. A nil backend uses the split search throughout.
+//     longer expression goes to dist.Pairs, which splits it where the
+//     graph's layer statistics predict the least search: the prefix is
+//     pushed forward from every source candidate, the suffix backward
+//     from every destination candidate, and a pair is an answer when the
+//     two node sets meet. A nil backend uses dist.Pairs throughout.
 //   - EvalBFS / StreamBFS: forward-only product search per source
 //     candidate — the reference every backend's answers must equal, in
 //     order.

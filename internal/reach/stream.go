@@ -2,7 +2,6 @@ package reach
 
 import (
 	"context"
-	"sync"
 
 	"regraph/internal/dist"
 	"regraph/internal/graph"
@@ -66,9 +65,10 @@ func (q Query) StreamBFS(ctx context.Context, g *graph.Graph, s *dist.Scratch, c
 // StreamBackend evaluates the query against any distance backend
 // (Matrix, TwoHop, Cache — see dist.Backend): single-atom expressions
 // become pairwise Backend.Sat asks over the candidate sets; longer
-// expressions fall back to the split closure search, which never needs
-// per-pair distances. A nil backend (a nil interface, not a typed nil
-// pointer) always uses closures. The context is bound to s for the
+// expressions go to dist.Pairs, the split closure search whose split
+// point is planned from the graph's layer statistics and which never
+// needs per-pair distances. A nil backend (a nil interface, not a typed
+// nil pointer) always uses dist.Pairs. The context is bound to s for the
 // duration, so every closure and cache-miss search under this call
 // observes cancellation; a cancelled cache-miss search is never stored
 // (see dist.Cache). Index-backed backends answer O(1)/O(label) lookups
@@ -106,57 +106,11 @@ func (q Query) StreamBackend(ctx context.Context, g *graph.Graph, be dist.Backen
 		}
 		return nil
 	}
-	mid := len(atoms) / 2
-	// The backward closure of the suffix from each destination is kept
-	// as a member list, all of them back to back in one pooled buffer;
-	// the forward closure of the prefix is then streamed one source at
-	// a time, and a pair is an answer when some member of the
-	// destination's list is in the source's forward bitset.
-	bwd := memberListPool.Get().(*memberLists)
-	defer memberListPool.Put(bwd)
-	bwd.ids, bwd.end = bwd.ids[:0], bwd.end[:0]
-	for _, y := range cand2 {
-		_, members := dist.BackwardClosureOf(g, []graph.NodeID{y}, atoms[mid:], s)
-		if s.Canceled() {
-			return ctx.Err()
-		}
-		bwd.ids = append(bwd.ids, members...)
-		bwd.end = append(bwd.end, len(bwd.ids))
-	}
-	for _, x := range cand1 {
-		fwd, _ := dist.ForwardClosureOf(g, []graph.NodeID{x}, atoms[:mid], s)
-		if s.Canceled() {
-			return ctx.Err()
-		}
-		start := 0
-		for j, y := range cand2 {
-			if meets(fwd, bwd.ids[start:bwd.end[j]]) {
-				if !yield(Pair{x, y}) {
-					return nil
-				}
-			}
-			start = bwd.end[j]
-		}
+	dist.Pairs(g, atoms, cand1, cand2, s, func(x, y graph.NodeID) bool {
+		return yield(Pair{x, y})
+	})
+	if s.Canceled() {
+		return ctx.Err()
 	}
 	return nil
-}
-
-// memberLists holds node sets back to back: set j is ids[end[j-1]:end[j]]
-// (from 0 for j = 0).
-type memberLists struct {
-	ids []graph.NodeID
-	end []int
-}
-
-// memberListPool recycles StreamBackend's per-destination closures.
-var memberListPool = sync.Pool{New: func() any { return new(memberLists) }}
-
-// meets reports whether some member is set in bits.
-func meets(bits []bool, members []graph.NodeID) bool {
-	for _, v := range members {
-		if bits[v] {
-			return true
-		}
-	}
-	return false
 }
