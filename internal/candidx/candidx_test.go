@@ -184,6 +184,8 @@ func TestMemoEpochInvalidation(t *testing.T) {
 	}
 }
 
+func key(p predicate.Pred) string { return string(p.AppendKey(nil)) }
+
 // TestMemoCanonicalKey: clause order must not defeat memoization, and
 // must not change answers.
 func TestMemoCanonicalKey(t *testing.T) {
@@ -193,8 +195,8 @@ func TestMemoCanonicalKey(t *testing.T) {
 	c1 := predicate.Clause{Attr: "x", Op: predicate.Ge, Value: "3"}
 	c2 := predicate.Clause{Attr: "y", Op: predicate.Ne, Value: "abc"}
 	p12, p21 := predicate.New(c1, c2), predicate.New(c2, c1)
-	if p12.Key() != p21.Key() {
-		t.Fatalf("keys differ: %q vs %q", p12.Key(), p21.Key())
+	if key(p12) != key(p21) {
+		t.Fatalf("keys differ: %q vs %q", key(p12), key(p21))
 	}
 	a := m.Candidates(p12)
 	h0, m0 := m.Stats()
@@ -223,14 +225,14 @@ func TestMemoKeyUnambiguous(t *testing.T) {
 		predicate.Clause{Attr: "a", Op: predicate.Eq, Value: "x"},
 		predicate.Clause{Attr: "a", Op: predicate.Eq, Value: "y"},
 	)
-	if tricky.Key() == pair.Key() {
-		t.Fatalf("distinct predicates share key %q", tricky.Key())
+	if key(tricky) == key(pair) {
+		t.Fatalf("distinct predicates share key %q", key(tricky))
 	}
 	// Operator spellings must not absorb a neighboring value either.
 	ltEq := predicate.New(predicate.Clause{Attr: "a", Op: predicate.Lt, Value: "=5"})
 	leFive := predicate.New(predicate.Clause{Attr: "a", Op: predicate.Le, Value: "5"})
-	if ltEq.Key() == leFive.Key() {
-		t.Fatalf("a < \"=5\" and a <= 5 share key %q", ltEq.Key())
+	if key(ltEq) == key(leFive) {
+		t.Fatalf("a < \"=5\" and a <= 5 share key %q", key(ltEq))
 	}
 
 	g := graph.New()
@@ -242,5 +244,20 @@ func TestMemoKeyUnambiguous(t *testing.T) {
 		if want := reach.Candidates(g, p); !sameIDs(got, want) {
 			t.Fatalf("pred %q: memo %v != scan %v", p, got, want)
 		}
+	}
+}
+
+// TestMemoHitAllocatesNothing: a memo hit builds its key on the stack
+// and looks it up without converting it to a string.
+func TestMemoHitAllocatesNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates")
+	}
+	g := gen.Synthetic(3, 200, 600, 3, gen.DefaultColors)
+	m := candidx.NewMemo(g)
+	p := predicate.MustParse("x = 1, y <= 20, z != abc")
+	m.Candidates(p) // the miss that stores the key
+	if got := testing.AllocsPerRun(100, func() { m.Candidates(p) }); got != 0 {
+		t.Fatalf("memo hit: %v allocations, want 0", got)
 	}
 }

@@ -88,12 +88,15 @@ func (m *Memo) Index() *Index {
 // epoch, ascending, bit-identical to reach.Candidates. The slice is
 // shared with other callers of the same predicate — read-only.
 func (m *Memo) Candidates(p predicate.Pred) []graph.NodeID {
-	key := p.Key()
+	// The key is built on the stack and looked up as string(key), which
+	// does not allocate: only a miss pays for the key string it stores.
+	var buf [128]byte
+	key := p.AppendKey(buf[:0])
 	for {
 		epoch := m.g.Epoch()
 		m.mu.RLock()
 		idx := m.idx
-		e, ok := m.cache[key]
+		e, ok := m.cache[string(key)]
 		m.mu.RUnlock()
 		if idx.epoch != epoch {
 			// Stale snapshot: retire it and retry with a fresh build.
@@ -119,7 +122,7 @@ func (m *Memo) Candidates(p predicate.Pred) []graph.NodeID {
 			if len(m.cache) >= memoMaxEntries {
 				m.cache = map[string]memoEntry{}
 			}
-			m.cache[key] = memoEntry{cands: c, attrs: p.Attrs(), isTrue: p.IsTrue()}
+			m.cache[string(key)] = memoEntry{cands: c, attrs: p.Attrs(), isTrue: p.IsTrue()}
 		}
 		m.mu.Unlock()
 		return c

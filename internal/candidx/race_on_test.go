@@ -1,0 +1,8 @@
+//go:build race
+
+package candidx_test
+
+// raceEnabled gates allocation assertions: the race detector's
+// instrumentation allocates, which would fail AllocsPerRun bounds that
+// hold in normal builds.
+const raceEnabled = true

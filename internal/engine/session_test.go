@@ -73,17 +73,23 @@ func TestSessionMatchesRunBatch(t *testing.T) {
 			wg.Wait()
 			s.Close()
 		}()
-		got := 0
+		// A result can arrive before its submitter has recorded the id it
+		// got back, so results are matched to requests only after the
+		// stream ends: Results closes after Close, which waits for every
+		// submitter.
+		var results []engine.Result
 		for r := range s.Results() {
+			results = append(results, r)
+		}
+		if len(results) != len(reqs) {
+			t.Fatalf("%s: received %d results, want %d", name, len(results), len(reqs))
+		}
+		for _, r := range results {
 			i := atomic.LoadInt64(&reqOf[r.ID])
 			w := want[i]
 			if !reflect.DeepEqual(r.Pairs, w.Pairs) || !reflect.DeepEqual(r.Match, w.Match) || (r.Err == nil) != (w.Err == nil) {
 				t.Errorf("%s: request %d (id %d): session result differs from RunBatch", name, i, r.ID)
 			}
-			got++
-		}
-		if got != len(reqs) {
-			t.Fatalf("%s: received %d results, want %d", name, got, len(reqs))
 		}
 		st := s.Stats()
 		if st.Submitted != uint64(len(reqs)) || st.Delivered != uint64(len(reqs)) || st.Dropped != 0 {

@@ -13,6 +13,10 @@
 // lexicographically otherwise. Implication reasons over a dense value
 // domain, which is sound (it never claims an implication that could fail)
 // and matches the paper's case analysis.
+//
+// Parsing sits on the served request path, so it is allocation-light: a
+// parsed predicate's names and values are slices of its input text, and
+// its canonical memo key is appended into a caller's buffer (AppendKey).
 package predicate
 
 import (
@@ -122,20 +126,29 @@ func (p Pred) String() string {
 //
 // Clauses are separated by commas; values may be double-quoted. The input
 // "*" or "" parses as the always-true predicate.
+//
+// Attribute names and unquoted values are slices of input, so a
+// predicate costs one allocation, its clause slice, plus one per quoted
+// value.
 func Parse(input string) (Pred, error) {
 	input = strings.TrimSpace(input)
 	if input == "" || input == "*" {
 		return Pred{}, nil
 	}
-	var clauses []Clause
-	for _, part := range splitClauses(input) {
-		c, err := parseClause(part)
+	// Commas inside quoted values make this an upper bound.
+	clauses := make([]Clause, 0, strings.Count(input, ",")+1)
+	for rest := input; ; {
+		end := clauseEnd(rest)
+		c, err := parseClause(rest[:end])
 		if err != nil {
 			return Pred{}, err
 		}
 		clauses = append(clauses, c)
+		if end == len(rest) {
+			return Pred{clauses: clauses}, nil
+		}
+		rest = rest[end+1:]
 	}
-	return Pred{clauses: clauses}, nil
 }
 
 // MustParse is Parse but panics on error.
@@ -147,31 +160,27 @@ func MustParse(input string) Pred {
 	return p
 }
 
-// splitClauses splits on commas that are not inside double quotes.
-// Inside quotes, a backslash escapes the next character (the encoding
-// strconv.Quote emits and strconv.Unquote reads), so escaped quotes do
-// not end the quoted region.
-func splitClauses(s string) []string {
-	var parts []string
-	depth := false
-	start := 0
+// clauseEnd returns the index of the first comma of s that is not inside
+// double quotes, or len(s). Inside quotes, a backslash escapes the next
+// character (the encoding strconv.Quote emits and strconv.Unquote
+// reads), so escaped quotes do not end the quoted region.
+func clauseEnd(s string) int {
+	quoted := false
 	for i := 0; i < len(s); i++ {
 		switch s[i] {
 		case '"':
-			depth = !depth
+			quoted = !quoted
 		case '\\':
-			if depth && i+1 < len(s) {
+			if quoted && i+1 < len(s) {
 				i++
 			}
 		case ',':
-			if !depth {
-				parts = append(parts, s[start:i])
-				start = i + 1
+			if !quoted {
+				return i
 			}
 		}
 	}
-	parts = append(parts, s[start:])
-	return parts
+	return len(s)
 }
 
 func parseClause(s string) (Clause, error) {
@@ -346,42 +355,55 @@ func (p Pred) Eval(attrs map[string]string) bool {
 	return true
 }
 
-// Key returns a canonical cache key for the predicate: clauses are
-// sorted (a conjunction is order-independent), so two predicates with
-// the same clause multiset in any order share one key. Attribute names
-// and values are length-prefixed — they may contain any byte, so a
-// separator-based encoding would let distinct predicates collide; the
-// length prefix makes the key a prefix code (the operator spellings
-// between two prefixed fields cannot be confused with one another or
-// with a digit run). The always-true predicate has the key "*". Used
-// by candidate-set memoization.
-func (p Pred) Key() string {
+// AppendKey appends a canonical cache key for the predicate to dst and
+// returns the extended slice: clauses are sorted (a conjunction is
+// order-independent), so two predicates with the same clause multiset in
+// any order share one key. Attribute names and values are
+// length-prefixed — they may contain any byte, so a separator-based
+// encoding would let distinct predicates collide; the length prefix
+// makes the key a prefix code (the operator spellings between two
+// prefixed fields cannot be confused with one another or with a digit
+// run). The always-true predicate has the key "*". Used by
+// candidate-set memoization, which looks keys up in a caller buffer so
+// that a hit allocates nothing.
+func (p Pred) AppendKey(dst []byte) []byte {
 	if p.IsTrue() {
-		return "*"
+		return append(dst, '*')
 	}
-	cs := make([]Clause, len(p.clauses))
-	copy(cs, p.clauses)
-	sort.Slice(cs, func(i, j int) bool {
-		a, b := cs[i], cs[j]
-		if a.Attr != b.Attr {
-			return a.Attr < b.Attr
-		}
-		if a.Op != b.Op {
-			return a.Op < b.Op
-		}
-		return a.Value < b.Value
-	})
-	var sb strings.Builder
-	for _, c := range cs {
-		sb.WriteString(strconv.Itoa(len(c.Attr)))
-		sb.WriteByte(':')
-		sb.WriteString(c.Attr)
-		sb.WriteString(c.Op.String())
-		sb.WriteString(strconv.Itoa(len(c.Value)))
-		sb.WriteByte(':')
-		sb.WriteString(c.Value)
+	// Predicates are short: an insertion sort over clause positions, on
+	// the stack up to eight clauses.
+	var small [8]int
+	order := small[:0]
+	if len(p.clauses) > len(small) {
+		order = make([]int, 0, len(p.clauses))
 	}
-	return sb.String()
+	for i := range p.clauses {
+		order = append(order, i)
+		for j := i; j > 0 && clauseLess(p.clauses[order[j]], p.clauses[order[j-1]]); j-- {
+			order[j], order[j-1] = order[j-1], order[j]
+		}
+	}
+	for _, i := range order {
+		c := p.clauses[i]
+		dst = strconv.AppendInt(dst, int64(len(c.Attr)), 10)
+		dst = append(dst, ':')
+		dst = append(dst, c.Attr...)
+		dst = append(dst, c.Op.String()...)
+		dst = strconv.AppendInt(dst, int64(len(c.Value)), 10)
+		dst = append(dst, ':')
+		dst = append(dst, c.Value...)
+	}
+	return dst
+}
+
+func clauseLess(a, b Clause) bool {
+	if a.Attr != b.Attr {
+		return a.Attr < b.Attr
+	}
+	if a.Op != b.Op {
+		return a.Op < b.Op
+	}
+	return a.Value < b.Value
 }
 
 // ---- satisfiability and implication -------------------------------------

@@ -3,6 +3,7 @@ package predicate
 import (
 	"fmt"
 	"math/rand"
+	"sort"
 	"strconv"
 	"testing"
 	"testing/quick"
@@ -317,4 +318,54 @@ func ExamplePred_Eval() {
 	// Output:
 	// true
 	// false
+}
+
+// TestParseAllocatesOnce: a predicate's clauses are slices of the input,
+// so parsing one costs its clause slice and nothing else.
+func TestParseAllocatesOnce(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates")
+	}
+	const in = "job = doctor, age > 30, cat != Music"
+	if got := testing.AllocsPerRun(100, func() {
+		if _, err := Parse(in); err != nil {
+			t.Fatal(err)
+		}
+	}); got > 1 {
+		t.Fatalf("Parse(%q): %v allocations, want at most 1", in, got)
+	}
+}
+
+// TestAppendKeyCanonical: the key does not depend on clause order and
+// matches a reference built with sort.Slice, including past the eight
+// clauses AppendKey sorts on the stack.
+func TestAppendKeyCanonical(t *testing.T) {
+	r := rand.New(rand.NewSource(5))
+	attrs := []string{"a", "b", "ab"}
+	values := []string{"1", "10", "x", "", "=1"}
+	ref := func(cs []Clause) string {
+		cs = append([]Clause(nil), cs...)
+		sort.Slice(cs, func(i, j int) bool { return clauseLess(cs[i], cs[j]) })
+		var b []byte
+		for _, c := range cs {
+			b = append(b, fmt.Sprintf("%d:%s%s%d:%s", len(c.Attr), c.Attr, c.Op, len(c.Value), c.Value)...)
+		}
+		return string(b)
+	}
+	for n := 1; n <= 12; n++ {
+		cs := make([]Clause, n)
+		for i := range cs {
+			cs[i] = Clause{Attr: attrs[r.Intn(len(attrs))], Op: Op(r.Intn(6)), Value: values[r.Intn(len(values))]}
+		}
+		want := ref(cs)
+		for k := 0; k < 5; k++ {
+			r.Shuffle(n, func(i, j int) { cs[i], cs[j] = cs[j], cs[i] })
+			if got := string(New(cs...).AppendKey([]byte("p:"))); got != "p:"+want {
+				t.Fatalf("%d clauses: key %q, want %q", n, got, "p:"+want)
+			}
+		}
+	}
+	if got := string(Pred{}.AppendKey(nil)); got != "*" {
+		t.Fatalf("always-true key %q, want \"*\"", got)
+	}
 }

@@ -110,7 +110,10 @@ func newFanout(rt *Router, ctx context.Context, cancel context.CancelFunc, w io.
 
 // send writes one response line to the client; a failed write means
 // the client is stalled or gone, which cancels the stream. Never
-// called with f.mu held (the write can block on the client).
+// called with f.mu held (the write can block on the client). One
+// goroutine per upstream sends, so lines that are ready together share
+// a flush: Encode leaves it to a writer already waiting for the
+// encoder, and the last one flushes.
 func (f *fanout) send(resp wire.Response) {
 	if err := f.enc.Encode(resp); err != nil {
 		f.writeFailed.Store(true)

@@ -568,14 +568,16 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	// reading responses, possibly long before the first result exists.
 	rc.Flush()
 	enc := wire.NewEncoder(w)
-	// send writes one response line; a failed write means the client is
-	// stalled or gone, which aborts the stream's session.
-	send := func(resp wire.Response) {
-		if err := enc.Encode(resp); err != nil {
+	// A failed write means the client is stalled or gone, which aborts
+	// the stream's session.
+	fail := func(err error) {
+		if err != nil {
 			writeFailed.Store(true)
 			cancel()
 		}
 	}
+	// send writes and flushes one response line from the reader.
+	send := func(resp wire.Response) { fail(enc.Encode(resp)) }
 
 	// Reader: decode request lines and submit them. Per-line errors are
 	// answered inline (the encoder is concurrency-safe) and the stream
@@ -655,10 +657,13 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		}
 	}()
 
-	// Consumer: stream results out in completion order. An encode error
-	// means the client is gone — cancel the session and keep draining so
-	// its workers can finish.
-	for res := range sess.Results() {
+	// Consumer: stream results out in completion order. A line is
+	// flushed once no further result is ready, so a burst of results
+	// costs one flush and a lone result is flushed at once. A write
+	// error means the client is gone — cancel the session and keep
+	// draining so its workers can finish.
+	results := sess.Results()
+	for res, ok := <-results; ok; {
 		mu.Lock()
 		m := metas[res.ID]
 		delete(metas, res.ID) // bounded by in-flight requests, not stream lifetime
@@ -672,7 +677,18 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		if res.Err == nil {
 			s.latency.Observe(res.Elapsed)
 		}
-		send(resp)
+		fail(enc.Write(resp))
+		select {
+		case res, ok = <-results:
+			if ok {
+				continue
+			}
+		default:
+		}
+		fail(enc.Flush())
+		if ok {
+			res, ok = <-results
+		}
 	}
 	<-readerDone
 }

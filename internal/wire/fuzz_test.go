@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"io"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -13,8 +14,10 @@ import (
 // decode, the qlang compile path behind it) with arbitrary input. The
 // contract under fuzz: never panic, classify every line as either a
 // request, a recoverable *LineError, or a terminal stream error — a
-// malformed line must never take the stream down. Seed corpus lives in
-// testdata/fuzz/FuzzDecode and runs on every plain `go test`.
+// malformed line must never take the stream down. It also holds the
+// reflection-free line decoder to encoding/json (checkDecodeLine).
+// Seed corpus lives in testdata/fuzz/FuzzDecode and runs on every plain
+// `go test`.
 func FuzzDecode(f *testing.F) {
 	f.Add(`{"id":1,"rq":{"from":"job = doctor","to":"*","expr":"fa{2} fn"}}`)
 	f.Add(`{"pq":"node A\t*\nnode B\t*\nedge A B\tfn+"}`)
@@ -29,6 +32,9 @@ func FuzzDecode(f *testing.F) {
 	// confused router client might) must decode-and-ignore, not fail.
 	f.Add(`{"id":8,"error":"router: no live replica available","error_kind":"unavailable","rq":{"expr":"fn"}}`)
 	f.Fuzz(func(t *testing.T, input string) {
+		for _, line := range strings.Split(input, "\n") {
+			checkDecodeLine(t, bytes.TrimSpace([]byte(line)))
+		}
 		dec := NewDecoder(strings.NewReader(input))
 		for i := 0; i < 1<<16; i++ { // hard stop; EOF must arrive long before
 			req, err := dec.Next()
@@ -71,6 +77,53 @@ func FuzzDecode(f *testing.F) {
 		}
 		t.Fatal("decoder failed to reach EOF")
 	})
+}
+
+// checkDecodeLine: a line decodeLine accepts must be one encoding/json
+// accepts too, decode to the same Request, and use only the keys the
+// wire defines, spelled exactly (encoding/json also matches "ID" or
+// "Count", but those lines are its to decode). A declined line goes to
+// encoding/json, so the rest of FuzzDecode covers it.
+func checkDecodeLine(t *testing.T, line []byte) {
+	t.Helper()
+	got, ok := decodeLine(line)
+	if !ok {
+		return
+	}
+	var want Request
+	if err := json.Unmarshal(line, &want); err != nil {
+		t.Fatalf("decodeLine accepted %q, which encoding/json rejects: %v", line, err)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("decodeLine(%q) = %s, encoding/json gives %s", line, dump(got), dump(want))
+	}
+	var top map[string]json.RawMessage
+	if err := json.Unmarshal(line, &top); err != nil {
+		t.Fatalf("accepted line %q is not an object: %v", line, err)
+	}
+	for k, v := range top {
+		switch k {
+		case "id", "pq", "count", "priority", "deadline_ms":
+		case "rq":
+			var rq map[string]json.RawMessage
+			if err := json.Unmarshal(v, &rq); err != nil {
+				t.Fatalf("accepted line %q: rq is not an object: %v", line, err)
+			}
+			for k := range rq {
+				if k != "from" && k != "to" && k != "expr" {
+					t.Fatalf("decodeLine accepted rq key %q in %q", k, line)
+				}
+			}
+		default:
+			t.Fatalf("decodeLine accepted key %q in %q", k, line)
+		}
+	}
+}
+
+// dump renders a Request with its pointer fields followed.
+func dump(r Request) string {
+	b, _ := json.Marshal(r) // a Request always marshals
+	return string(b)
 }
 
 // FuzzResponse drives the response-line schema with arbitrary bytes.

@@ -30,17 +30,25 @@
 // Malformed lines yield an error response for that line only; the
 // stream continues. The schema is covered by golden-file tests
 // (testdata/*.golden) — change it there first.
+//
+// Request lines of exactly this shape are decoded without reflection;
+// any other line (unknown or case-variant keys, duplicates, null,
+// fractions, surrogate escapes, malformed input) is decoded by
+// encoding/json, which stays the reference for both the result and the
+// per-line error text. The Encoder flushes once per burst of ready
+// lines, never on a timer (see Encoder).
 package wire
 
 import (
 	"bufio"
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
-	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"regraph/internal/engine"
@@ -233,7 +241,9 @@ func (e *LineError) Unwrap() error { return e.Err }
 
 // Decoder reads NDJSON request lines. Blank lines are skipped; a
 // malformed line yields a *LineError (recoverable — keep calling Next);
-// any other error is a stream-level failure.
+// any other error is a stream-level failure. Lines of the wire's own
+// shape are decoded without reflection, every other line by
+// encoding/json.
 type Decoder struct {
 	sc   *bufio.Scanner
 	line int    // physical line number of the last scanned line
@@ -255,18 +265,21 @@ func NewDecoder(r io.Reader) *Decoder {
 func (d *Decoder) Next() (Request, error) {
 	for d.sc.Scan() {
 		d.line++
-		text := strings.TrimSpace(d.sc.Text())
-		if text == "" {
+		line := bytes.TrimSpace(d.sc.Bytes())
+		if len(line) == 0 {
 			continue
 		}
 		id := d.ord
 		d.ord++
-		var req Request
-		if err := json.Unmarshal([]byte(text), &req); err != nil {
-			return Request{ID: &id}, &LineError{Line: d.line, Err: err}
+		req, ok := decodeLine(line)
+		if !ok {
+			var err error
+			if req, err = unmarshalRequest(line); err != nil {
+				return Request{ID: ptr(id)}, &LineError{Line: d.line, Err: err}
+			}
 		}
 		if req.ID == nil {
-			req.ID = &id
+			req.ID = ptr(id)
 		}
 		return req, nil
 	}
@@ -275,6 +288,19 @@ func (d *Decoder) Next() (Request, error) {
 	}
 	return Request{}, io.EOF
 }
+
+// unmarshalRequest decodes a line decodeLine declined, with
+// encoding/json's rules and error text.
+func unmarshalRequest(line []byte) (Request, error) {
+	var req Request
+	err := json.Unmarshal(line, &req)
+	return req, err
+}
+
+// ptr returns a pointer to a copy of id. Taking &id in Next itself
+// would move id to the heap on every line, even on lines that carry an
+// id of their own.
+func ptr(id uint64) *uint64 { return &id }
 
 // Compile parses the request's text into an evaluable engine request
 // and reports its kind ("rq" or "pq"). The error, if any, is a per-line
@@ -398,49 +424,69 @@ func errKindOf(err error) string {
 	}
 }
 
-// flusher is the subset of http.Flusher / bufio.Writer the encoder
-// pushes each line through, so results reach a streaming client the
-// moment they complete.
-type flusher interface{ Flush() }
-
-type errFlusher interface{ Flush() error }
-
 // Encoder writes NDJSON lines (Response, Delta, or any other
 // line-schema value). It is safe for concurrent use (the service
 // writes parse errors from its reader goroutine and results from its
-// consumer loop); each line is flushed when the underlying writer
-// supports it.
+// consumer loop).
+//
+// Flushing is what puts a line on the socket, and it costs a write
+// system call, so the encoder flushes once per burst rather than once
+// per line: Write buffers a line and the caller flushes when it has
+// nothing else ready (Flush), or Encode flushes unless another Encode
+// is already waiting for the encoder — the waiting writer's flush then
+// carries both lines. Either way a line waits only while a line that
+// is already ready gets written; there is no timer and no line count.
 type Encoder struct {
-	mu  sync.Mutex
-	enc *json.Encoder
-	f   flusher
-	ef  errFlusher
+	mu      sync.Mutex
+	waiting atomic.Int32 // Encode calls blocked on mu
+	enc     *json.Encoder
+	flush   func() error
 }
 
-// NewEncoder wraps w in a response encoder.
+// NewEncoder wraps w in a response encoder. Lines reach the client
+// when w can flush. FlushError is preferred over Flush: net/http's
+// response writer has both, and only FlushError reports a failed write.
 func NewEncoder(w io.Writer) *Encoder {
-	e := &Encoder{enc: json.NewEncoder(w)}
+	e := &Encoder{enc: json.NewEncoder(w), flush: func() error { return nil }}
 	switch f := w.(type) {
-	case flusher:
-		e.f = f
-	case errFlusher:
-		e.ef = f
+	case interface{ FlushError() error }:
+		e.flush = f.FlushError
+	case interface{ Flush() error }:
+		e.flush = f.Flush
+	case interface{ Flush() }:
+		e.flush = func() error { f.Flush(); return nil }
 	}
 	return e
 }
 
-// Encode writes one NDJSON line (and flushes it through to the client
-// when the writer supports flushing).
-func (e *Encoder) Encode(v any) error {
+// Write buffers one NDJSON line without flushing it.
+func (e *Encoder) Write(v any) error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if err := e.enc.Encode(v); err != nil {
-		return err
+	return e.enc.Encode(v)
+}
+
+// Flush pushes every buffered line through to the client.
+func (e *Encoder) Flush() error {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	return e.flush()
+}
+
+// Encode writes one NDJSON line and flushes it, together with any line
+// Write buffered before it — unless another Encode is already waiting
+// for the encoder, whose flush then carries this line as well. A lone
+// writer therefore flushes every line before Encode returns.
+func (e *Encoder) Encode(v any) error {
+	e.waiting.Add(1)
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	e.waiting.Add(-1)
+	err := e.enc.Encode(v)
+	if e.waiting.Load() == 0 {
+		if ferr := e.flush(); err == nil {
+			err = ferr
+		}
 	}
-	if e.f != nil {
-		e.f.Flush()
-	} else if e.ef != nil {
-		return e.ef.Flush()
-	}
-	return nil
+	return err
 }

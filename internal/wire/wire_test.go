@@ -10,6 +10,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -352,5 +353,123 @@ func TestCompileErrors(t *testing.T) {
 				t.Errorf("%s: compiled request %+v inconsistent with kind %q", c.name, ereq, kind)
 			}
 		}
+	}
+}
+
+var errFlush = errors.New("flush failed")
+
+// flushErrWriter flushes like http.ResponseWriter: Flush drops the
+// error that FlushError reports.
+type flushErrWriter struct{ bytes.Buffer }
+
+func (*flushErrWriter) Flush()            {}
+func (*flushErrWriter) FlushError() error { return errFlush }
+
+// TestEncoderReportsFlushError: a failed flush is the failed write the
+// service keeps its write deadline for, so Encode and Flush must return
+// it rather than call the error-dropping Flush.
+func TestEncoderReportsFlushError(t *testing.T) {
+	enc := NewEncoder(&flushErrWriter{})
+	if err := enc.Encode(Response{ID: 1}); !errors.Is(err, errFlush) {
+		t.Fatalf("Encode: %v, want %v", err, errFlush)
+	}
+	if err := enc.Flush(); !errors.Is(err, errFlush) {
+		t.Fatalf("Flush: %v, want %v", err, errFlush)
+	}
+}
+
+// flushCounter records what each flush pushed through. Writes block
+// until gate is closed.
+type flushCounter struct {
+	gate    chan struct{}
+	mu      sync.Mutex
+	pending bytes.Buffer
+	flushed []string
+}
+
+func (w *flushCounter) Write(p []byte) (int, error) {
+	<-w.gate
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	return w.pending.Write(p)
+}
+
+func (w *flushCounter) Flush() error {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	w.flushed = append(w.flushed, w.pending.String())
+	w.pending.Reset()
+	return nil
+}
+
+// TestEncoderNoLineHeld: K lines ready at once cost fewer than K
+// flushes, and no line is left unflushed — neither by Encode nor by
+// Write followed by Flush.
+func TestEncoderNoLineHeld(t *testing.T) {
+	const k = 8
+	w := &flushCounter{gate: make(chan struct{})}
+	enc := NewEncoder(w)
+	var wg sync.WaitGroup
+	for i := 0; i < k; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			if err := enc.Encode(Response{ID: uint64(i)}); err != nil {
+				t.Error(err)
+			}
+		}(i)
+	}
+	// One writer holds the encoder, blocked in Write; the others queue.
+	for deadline := time.Now().Add(5 * time.Second); enc.waiting.Load() != k-1; {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d writers waiting, want %d", enc.waiting.Load(), k-1)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	close(w.gate)
+	wg.Wait()
+	if len(w.flushed) >= k {
+		t.Errorf("%d ready lines took %d flushes", k, len(w.flushed))
+	}
+	if w.pending.Len() != 0 {
+		t.Fatalf("unflushed after the last Encode: %q", w.pending.String())
+	}
+	if n := strings.Count(strings.Join(w.flushed, ""), "\n"); n != k {
+		t.Fatalf("flushed %d lines, want %d", n, k)
+	}
+
+	// A lone Encode flushes its own line; Write leaves it to Flush.
+	w.flushed = nil
+	if err := enc.Encode(Response{ID: 100}); err != nil || len(w.flushed) != 1 || w.pending.Len() != 0 {
+		t.Fatalf("lone Encode: err %v, flushes %d, pending %q", err, len(w.flushed), w.pending.String())
+	}
+	for i := 0; i < 3; i++ {
+		if err := enc.Write(Response{ID: uint64(i)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if len(w.flushed) != 1 {
+		t.Fatalf("Write flushed: %d flushes", len(w.flushed))
+	}
+	if err := enc.Flush(); err != nil || len(w.flushed) != 2 || strings.Count(w.flushed[1], "\n") != 3 {
+		t.Fatalf("Flush: err %v, flushes %q", err, w.flushed)
+	}
+}
+
+// TestDecoderAllocs bounds the decoder on the benchmark's RQ line shape:
+// the id, the RQSpec and its three strings.
+func TestDecoderAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates")
+	}
+	const line = `{"id":4711,"rq":{"from":"cat = Music, age <= 30","to":"cat = \"Film \u0026 Animation\"","expr":"ic{2} dc+"},"count":true}` + "\n"
+	const runs = 100
+	dec := NewDecoder(strings.NewReader(strings.Repeat(line, runs+1)))
+	if got := testing.AllocsPerRun(runs, func() {
+		if _, err := dec.Next(); err != nil {
+			t.Fatal(err)
+		}
+	}); got > 5 {
+		t.Fatalf("Decoder.Next: %v allocations per line, want at most 5", got)
 	}
 }
