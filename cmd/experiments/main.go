@@ -34,7 +34,11 @@ func main() {
 		}
 		return
 	}
-	cfg := bench.DefaultConfig()
+	cfg, err := bench.DefaultConfig()
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
+		os.Exit(2)
+	}
 	cfg.Seed = *seed
 	if *scale > 0 {
 		cfg.YouTubeScale = *scale

@@ -11,6 +11,7 @@ package bench
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"os"
 	"sort"
@@ -36,8 +37,11 @@ type Config struct {
 
 // DefaultConfig is used by cmd/experiments and bench_test.go; the
 // REGRAPH_BENCH_SCALE and REGRAPH_BENCH_QUERIES environment variables
-// override the scale factors and per-point query count.
-func DefaultConfig() Config {
+// override the scale factors and per-point query count. A value that
+// is not a positive number is an error naming the variable: silently
+// falling back to the default scale would turn a smoke run into one
+// that takes minutes.
+func DefaultConfig() (Config, error) {
 	cfg := Config{
 		Seed:            1,
 		YouTubeScale:    0.25,
@@ -46,17 +50,21 @@ func DefaultConfig() Config {
 		CacheSize:       1 << 16,
 	}
 	if v := os.Getenv("REGRAPH_BENCH_SCALE"); v != "" {
-		if f, err := strconv.ParseFloat(v, 64); err == nil && f > 0 {
-			cfg.YouTubeScale = f
-			cfg.SyntheticScale = f
+		f, err := strconv.ParseFloat(v, 64)
+		if err != nil || !(f > 0) || math.IsInf(f, 0) {
+			return Config{}, fmt.Errorf("REGRAPH_BENCH_SCALE=%q: want a positive number", v)
 		}
+		cfg.YouTubeScale = f
+		cfg.SyntheticScale = f
 	}
 	if v := os.Getenv("REGRAPH_BENCH_QUERIES"); v != "" {
-		if n, err := strconv.Atoi(v); err == nil && n > 0 {
-			cfg.QueriesPerPoint = n
+		n, err := strconv.Atoi(v)
+		if err != nil || n <= 0 {
+			return Config{}, fmt.Errorf("REGRAPH_BENCH_QUERIES=%q: want a positive integer", v)
 		}
+		cfg.QueriesPerPoint = n
 	}
-	return cfg
+	return cfg, nil
 }
 
 // Env lazily builds and caches the datasets and their distance matrices so
@@ -159,9 +167,8 @@ type Table struct {
 	Notes  []string
 
 	// Metrics are scalar side measurements outside the row/series grid
-	// (e.g. retained bytes), keyed by a space-free unit label so
-	// benchmark wrappers can forward them through b.ReportMetric into
-	// the BENCH_*.json artifacts.
+	// (e.g. label bytes per node), keyed by a space-free unit label so
+	// the benchmark wrappers can forward them through b.ReportMetric.
 	Metrics map[string]float64
 }
 
@@ -261,12 +268,6 @@ func All() []NamedDriver {
 		{"fig12f", Fig12f},
 		{"engine-batch", EngineBatch},
 		{"engine-memo", EngineMemo},
-		{"engine-session", EngineSession},
-		{"server-throughput", ServerThroughput},
-		{"load", ServerLoad},
-		{"mutate", Mutate},
-		{"wal", WAL},
-		{"cluster", Cluster},
 		{"twohop", TwoHop},
 		{"ablation-containment", AblationContainment},
 		{"ablation-filter", AblationFilter},

@@ -28,9 +28,9 @@ func EngineBatch(e *Env) *Table {
 		Series: []string{"Serial", "Engine-1", engineN},
 	}
 	g, _, _ := e.YouTube()
-	// Batch sizes honor the QueriesPerPoint knob (the CI benchmark-delta
-	// step turns it down to stay cheap): at the default of 3 the sweep
-	// tops out above a thousand queries per batch.
+	// Batch sizes honor the QueriesPerPoint knob (smoke runs turn it
+	// down to stay cheap): at the default of 3 the sweep tops out above
+	// a thousand queries per batch.
 	for _, base := range []int{32, 128, 512} {
 		nq := base * e.Cfg.QueriesPerPoint
 		r := e.Rand(int64(9000 + nq))

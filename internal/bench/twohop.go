@@ -20,9 +20,9 @@ import (
 // matrix exists by construction and the contest is 2-hop labels vs a
 // cold LRU cache, which is the scenario the backend exists for.
 //
-// Side metrics (forwarded into BENCH_twohop.json by BenchmarkTwoHop):
-// label build seconds and bytes/node on the unbuildable graph, and the
-// cold-cache-over-twohop query-time factor. Every backend's total pair
+// Side metrics (reported by BenchmarkTwoHop and printed by
+// cmd/experiments): label build seconds and bytes/node on the
+// unbuildable graph, and the cold-cache-over-twohop query-time factor. Every backend's total pair
 // count is cross-checked; a mismatch is reported in the table notes.
 func TwoHop(e *Env) *Table {
 	t := &Table{

@@ -25,7 +25,10 @@ func TestTwoHopBuildWallClock(t *testing.T) {
 		}
 		budget = f
 	}
-	cfg := DefaultConfig()
+	cfg, err := DefaultConfig()
+	if err != nil {
+		t.Fatal(err)
+	}
 	g := gen.YouTube(cfg.Seed, cfg.YouTubeScale)
 	t0 := time.Now()
 	th := dist.NewTwoHop(g)

@@ -17,8 +17,8 @@ import (
 // decoded Response. The upload runs through a pipe, so a server
 // stalling its body reads (admission-bound flow control) back-pressures
 // request production here too. A non-nil error from fn stops the read
-// loop and is returned. cmd/rgquery -remote and bench.ServerThroughput
-// share this one implementation.
+// loop and is returned. cmd/rgquery -remote reaches the same
+// implementation through PostStreamRetry.
 func PostStream(url string, reqs []Request, fn func(raw []byte, resp *Response) error) error {
 	_, err := postStream(url, reqs, fn)
 	return err
